@@ -16,7 +16,7 @@ from .det import det_borderline
 from .ffprob import SplitMix64, mix64
 from .matrix import PointVectors, bareiss_det, evaluation_matrix
 from .poly import HomogeneousPoly
-from .scalar import RATIONAL, PrimeField, Scalar, ScalarDomain, format_scalar
+from .scalar import RATIONAL, Scalar, ScalarDomain, format_scalar
 
 
 class BenchMismatchError(RuntimeError):
@@ -59,18 +59,12 @@ def random_borderline_instance(n: int, domain: ScalarDomain, stream: SplitMix64)
     """Random degree n-1 polynomial with nonzero coefficients and distinct
     point vectors. Rational instances draw integer points below 2^20."""
     k = n - 1
-    if isinstance(domain, PrimeField):
-        p = domain.p
-        if n > p:
-            raise ValueError(f"cannot pick {n} distinct points in F_{p}")
-        coeffs = [domain.from_int(1 + stream.next_below(p - 1)) for _ in range(k + 1)]
-        a = [domain.from_int(v) for v in _distinct_values(stream, n, p)]
-        b = [domain.from_int(v) for v in _distinct_values(stream, n, p)]
-    else:
-        bound = 1 << 20
-        coeffs = [domain.from_int(1 + stream.next_below(bound - 1)) for _ in range(k + 1)]
-        a = [domain.from_int(v) for v in _distinct_values(stream, n, bound)]
-        b = [domain.from_int(v) for v in _distinct_values(stream, n, bound)]
+    bound = domain.modulus or 1 << 20
+    if domain.modulus and n > bound:
+        raise ValueError(f"cannot pick {n} distinct points in F_{bound}")
+    coeffs = [domain.from_int(1 + stream.next_below(bound - 1)) for _ in range(k + 1)]
+    a = [domain.from_int(v) for v in _distinct_values(stream, n, bound)]
+    b = [domain.from_int(v) for v in _distinct_values(stream, n, bound)]
     return HomogeneousPoly(k, coeffs, domain), PointVectors(a, b, domain)
 
 

@@ -9,21 +9,19 @@ products, and n <= k expands as a column-subset minor sum.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import kernel
 from .matrix import (
-    DenseMatrix,
     PointVectors,
     bareiss_det,
     evaluation_matrix,
-    minor_det,
     pascal_core,
-    vandermonde_asc,
-    vandermonde_desc,
     vandermonde_product,
 )
-from .poly import HomogeneousPoly, UnivariatePoly, complete_homogeneous_all
+from .poly import HomogeneousPoly, UnivariatePoly
 from .scalar import (
     Scalar,
     SingularChangeError,
@@ -31,6 +29,7 @@ from .scalar import (
     binomial,
     format_scalar,
     normalize_scalars,
+    shared_domain,
 )
 
 VANISH_RANK = "VANISH_RANK"
@@ -109,15 +108,17 @@ def det_borderline(p: HomogeneousPoly, pts: PointVectors) -> DetReport:
     n, k = pts.n, p.degree
     if n != k + 1:
         raise SizeMismatchError(f"borderline form needs n = k+1, got n={n}, k={k}")
-    sign = -1 if binomial(k + 1, 2) % 2 else 1
-    coeff = pts.domain.one
-    for a in p.coeffs:
-        coeff = coeff * a
+    return _closed_form(BORDERLINE, math.prod(p.coeffs, start=pts.domain.one), pts)
+
+
+def _closed_form(method: str, coeff: Scalar, pts: PointVectors) -> DetReport:
+    """(-1)^C(n,2) * coeff * vdm(a) * vdm(b), the n = k+1 determinant of both forms."""
+    sign = -1 if binomial(pts.n, 2) % 2 else 1
     vdm_a = vandermonde_product(pts.a)
     vdm_b = vandermonde_product(pts.b)
     return DetReport(
         value=sign * coeff * vdm_a * vdm_b,
-        method=BORDERLINE,
+        method=method,
         sign_factor=sign,
         coeff_product=coeff,
         vdm_a=vdm_a,
@@ -136,9 +137,10 @@ def det_cauchy_binet(
     Vandermonde product of the points and evaluates the remaining factor as
     a Jacobi-Trudi determinant in the complete homogeneous polynomials
     (see schur_minor); W's ascending exponents are reversed to descending,
-    whose (-1)^C(n,2) cost cancels the descending minor's own sign. Subsets
-    hitting a zero coefficient are skipped. Enumeration order is
-    lexicographic.
+    whose (-1)^C(n,2) cost cancels the descending minor's own sign. Only
+    subsets inside the support of the coefficients are enumerated, in
+    lexicographic order. Both routes run on the kernel's integer lift and
+    wrap each term over one shared denominator.
     """
     n, k = pts.n, p.degree
     if n > k + 1:
@@ -148,43 +150,42 @@ def det_cauchy_binet(
     if minor_mode not in (DIRECT, H_ROUTE):
         raise ValueError(f"unknown minor mode {minor_mode!r}")
 
-    zero = pts.domain.zero
-    one = pts.domain.one
+    dom = shared_domain(p, pts)
+    mod = dom.modulus
+    c, e = dom.lift(p.coeffs)
+    subsets = list(itertools.combinations([i for i, ci in enumerate(c) if ci], n))
+    minors = []
     if minor_mode == DIRECT:
-        v = vandermonde_desc(pts.a, k, pts.domain)
-        w = vandermonde_asc(pts.b, k, pts.domain)
+        # minors of the scaled power rows: denominator E^n prod d_r^k prod e_s^k
+        na, da = dom.parts(pts.a)
+        nb, db = dom.parts(pts.b)
+        v = kernel.powers(na, da, k, mod)
+        w = kernel.powers(db, nb, k, mod)
+        den = e**n * math.prod(x**k for x in da + db)
+        for subset in subsets:
+            mv = kernel.det([[row[i] for i in subset] for row in v], mod)
+            mw = kernel.det([[row[i] for i in subset] for row in w], mod)
+            minors.append(mv * mw)
     else:
         # a descending-exponent minor is prod_{r<r'}(x_r - x_{r'}) * s_lam,
         # i.e. (-1)^C(n,2) times the ascending Vandermonde product; W's
-        # column reversal contributes the same sign again, cancelling it
-        vdm_a = vandermonde_product(pts.a)
-        vdm_b = vandermonde_product(pts.b)
+        # column reversal contributes the same sign again, cancelling it.
+        # Over a = X/D, b = Y/G the minors carry D^(nk - sum I) G^(sum I).
+        xa, ga = dom.lift(pts.a)
+        xb, gb = dom.lift(pts.b)
+        h_a = kernel.h_table(xa, k, mod)
+        h_b = kernel.h_table(xb, k, mod)
         sign_v = -1 if binomial(n, 2) % 2 else 1
-        h_a = complete_homogeneous_all(k, pts.a, pts.domain)
-        h_b = complete_homogeneous_all(k, pts.b, pts.domain)
-
-    total = zero
-    terms = []
-    for subset in itertools.combinations(range(k + 1), n):
-        coeff = one
-        for i in subset:
-            coeff = coeff * p.coeffs[i]
-            if not coeff:
-                break
-        if not coeff:
-            continue
-        if minor_mode == DIRECT:
-            mv = minor_det(v, subset)
-            mw = minor_det(w, subset)
-        else:
-            exps_v = tuple(k - i for i in subset)  # already strictly decreasing
-            mv = sign_v * vdm_a * _jacobi_trudi(exps_v, h_a, zero, pts.domain)
-            exps_w = tuple(reversed(subset))
-            mw = vdm_b * _jacobi_trudi(exps_w, h_b, zero, pts.domain)
-        term = mv * coeff * mw
-        terms.append((subset, term))
-        total = total + term
-    return DetReport(value=total, method=CAUCHY_BINET, subset_terms=tuple(terms))
+        scale = sign_v * kernel.vandermonde(xa, mod) * kernel.vandermonde(xb, mod)
+        den = e**n * (ga * gb) ** (n * k)
+        for subset in subsets:
+            s = sum(subset)
+            mv = _jacobi_trudi([k - i for i in subset], h_a, mod)
+            mw = _jacobi_trudi(subset[::-1], h_b, mod)
+            minors.append(scale * mv * mw * ga**s * gb ** (n * k - s))
+    nums = [x * math.prod(c[i] for i in subset) for subset, x in zip(subsets, minors)]
+    terms = tuple((subset, dom.ratio(x, den)) for subset, x in zip(subsets, nums))
+    return DetReport(value=dom.ratio(sum(nums), den), method=CAUCHY_BINET, subset_terms=terms)
 
 
 def schur_minor(xs: Sequence, exponents: Sequence[int]) -> Scalar:
@@ -196,7 +197,9 @@ def schur_minor(xs: Sequence, exponents: Sequence[int]) -> Scalar:
                         = (-1)^C(n,2) * vandermonde_product(xs) * schur_minor(xs, e),
 
     where this factor is the Jacobi-Trudi determinant det [H_{lam_i + j - i}(xs)]
-    with lam_i = e_i - (n - i) (the Schur polynomial s_lam(xs)).
+    with lam_i = e_i - (n - i) (the Schur polynomial s_lam(xs)). It is
+    computed on the integer numerators X over their common denominator D as
+    s_lam(X) / D^|lam|.
     """
     exps = tuple(exponents)
     xs = tuple(xs)
@@ -207,26 +210,17 @@ def schur_minor(xs: Sequence, exponents: Sequence[int]) -> Scalar:
     if any(exps[i] <= exps[i + 1] for i in range(len(exps) - 1)):
         raise ValueError(f"exponents must be strictly decreasing: {exps}")
     dom, xs = normalize_scalars(xs)
-    max_h = max(exps) if exps else 0
-    hs = complete_homogeneous_all(max_h, xs, dom)
-    return _jacobi_trudi(exps, hs, dom.zero, dom)
+    nums, den = dom.lift(xs)
+    hs = kernel.h_table(nums, max(exps, default=0), dom.modulus)
+    weight = sum(exps) - binomial(len(exps), 2)
+    return dom.ratio(_jacobi_trudi(exps, hs, dom.modulus), den**weight)
 
 
-def _jacobi_trudi(exps: tuple[int, ...], hs: tuple, zero, dom) -> Scalar:
-    """det [H_{lam_i + j - i}] for lam_i = e_i - (n-i), H values precomputed
-    in hs (index = degree; negative degrees are 0)."""
+def _jacobi_trudi(exps: Sequence[int], hs: list[int], mod: int | None) -> int:
+    """det [H_{lam_i + j - i}] = det [H_{e_i - n + 1 + j}] with H_d = hs[d], 0 for d < 0."""
     n = len(exps)
-    if n == 0:
-        return dom.one
-    rows = []
-    for i in range(n):
-        lam_i = exps[i] - (n - 1 - i)
-        row = []
-        for j in range(n):
-            d = lam_i + j - i
-            row.append(hs[d] if 0 <= d < len(hs) else zero)
-        rows.append(row)
-    return bareiss_det(DenseMatrix(rows, dom))
+    rows = [[hs[d] if d >= 0 else 0 for d in range(e - n + 1, e + 1)] for e in exps]
+    return kernel.det(rows, mod)
 
 
 def rank_upper_bound(p: HomogeneousPoly, n: int) -> int:
@@ -247,20 +241,8 @@ def det_sum_form(f: UnivariatePoly, pts: PointVectors) -> DetReport:
     n = pts.n
     if n != k + 1:
         raise SizeMismatchError(f"sum form needs n = deg f + 1, got n={n}, deg={k}")
-    sign = -1 if binomial(n, 2) % 2 else 1
-    coeff = f.leading_coefficient ** n
-    for i in range(k + 1):
-        coeff = coeff * binomial(k, i)
-    vdm_a = vandermonde_product(pts.a)
-    vdm_b = vandermonde_product(pts.b)
-    return DetReport(
-        value=sign * coeff * vdm_a * vdm_b,
-        method=SUM_FORM,
-        sign_factor=sign,
-        coeff_product=coeff,
-        vdm_a=vdm_a,
-        vdm_b=vdm_b,
-    )
+    coeff = f.leading_coefficient**n * math.prod(binomial(k, i) for i in range(k + 1))
+    return _closed_form(SUM_FORM, coeff, pts)
 
 
 def pascal_core_det(f: UnivariatePoly, n: int) -> Scalar:

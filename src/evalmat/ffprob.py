@@ -15,6 +15,9 @@ z *= 0x94D049BB133111EB; z ^= z>>31 (all mod 2^64). Field elements come from
 62-bit draws rejected above the largest multiple of p, then reduced mod p.
 Trial t uses its own stream seeded at mix64(seed) XOR mix64(t * gamma);
 within a trial the draw order is a_1..a_n then b_1..b_n.
+
+Each trial stays on raw residues: the integer kernel builds [f(a_r + b_s)]
+mod p by Horner and eliminates it mod p, with no scalar objects.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrix import _det_mod_p
+from . import kernel
 from .scalar import PrimeField, binomial
 
 _GAMMA = 0x9E3779B97F4A7C15
@@ -136,17 +139,9 @@ def _coefficient_scale(cfg: ExperimentConfig) -> int:
     return scale
 
 
-def _eval_f(coeffs: tuple[int, ...], t: int, p: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * t + c) % p
-    return acc
-
-
 def _det_is_zero(cfg: ExperimentConfig, a: list[int], b: list[int]) -> bool:
     p = cfg.modulus
-    rows = [[_eval_f(cfg.coeffs, (ar + bs) % p, p) for bs in b] for ar in a]
-    return _det_mod_p(rows, p) == 0
+    return kernel.det(kernel.sum_form(cfg.coeffs, a, b, p), p) == 0
 
 
 _ORACLE_SUBSAMPLE = 100

@@ -1,21 +1,23 @@
-"""Dense exact matrices, structured builders, and the fraction-free
-determinant oracle."""
+"""Dense exact matrices, structured builders, and the determinant oracle.
+
+``DenseMatrix`` holds ``Fraction``/``FpElement`` entries; every builder and
+eliminator here lifts them to integers, runs the matching function of
+``kernel``, and wraps the result back into scalars on return.
+"""
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
+from . import kernel
 from .poly import HomogeneousPoly, UnivariatePoly, binomial
 from .scalar import (
-    FpElement,
-    PrimeField,
     Scalar,
     ScalarDomain,
     format_scalar,
     normalize_scalars,
     parse_scalar,
+    shared_domain,
 )
 
 
@@ -59,17 +61,12 @@ class DenseMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        zero = self.domain.zero
-        out = []
-        for r in range(self.rows):
-            row = []
-            for c in range(other.cols):
-                acc = zero
-                for t in range(self.cols):
-                    acc = acc + self.entries[r][t] * other.entries[t][c]
-                row.append(acc)
-            out.append(row)
-        return DenseMatrix(out, self.domain)
+        dom = shared_domain(self, other)
+        left = [dom.lift(row) for row in self.entries]
+        right = [dom.lift(col) for col in zip(*other.entries)]
+        ones = [1] * self.cols
+        rows = kernel.product([u for u, _ in left], ones, [w for w, _ in right], dom.modulus)
+        return _wrap(rows, [d for _, d in left], [d for _, d in right], dom)
 
     def transpose(self) -> "DenseMatrix":
         return DenseMatrix(
@@ -120,72 +117,48 @@ class PointVectors:
         return f"PointVectors(a={self.a!r}, b={self.b!r})"
 
 
+def _wrap(rows: list[list[int]], row_den, col_den, dom: ScalarDomain) -> DenseMatrix:
+    """The matrix with entries rows[r][s] / (row_den[r] * col_den[s])."""
+    return DenseMatrix(
+        [[dom.ratio(x, r * c) for x, c in zip(row, col_den)] for row, r in zip(rows, row_den)], dom
+    )
+
+
 def evaluation_matrix(p: HomogeneousPoly | UnivariatePoly, pts: PointVectors) -> DenseMatrix:
-    """The n x n matrix [p(a_r, b_s)], or [f(a_r + b_s)] for sum-form f."""
-    if isinstance(pts.domain, PrimeField):
-        return _evaluation_matrix_mod_p(p, pts)
-    if isinstance(p, UnivariatePoly):
-        rows = [[p.evaluate(ar + bs) for bs in pts.b] for ar in pts.a]
-    else:
-        rows = [[p.evaluate(ar, bs) for bs in pts.b] for ar in pts.a]
-    return DenseMatrix(rows, pts.domain)
+    """The n x n matrix [p(a_r, b_s)], or [f(a_r + b_s)] for sum-form f.
 
-
-def _evaluation_matrix_mod_p(p, pts: PointVectors) -> DenseMatrix:
-    # same entries as the generic path, computed on raw residues
-    field = pts.domain
-    q = field.p
-    a = [x.value for x in pts.a]
-    b = [x.value for x in pts.b]
-    coeffs = [c.value for c in p.coeffs]
-    rows = []
+    Homogeneous p is built as the integer product V * D_c * W^T of the
+    kernel's scaled power rows; the sum form runs Horner in a_r + b_s over
+    one common point denominator D, with c_i D^(deg-i) folded in once.
+    """
+    dom = shared_domain(p, pts)
+    mod = dom.modulus
+    c, e = dom.lift(p.coeffs)
     if isinstance(p, UnivariatePoly):
-        for ar in a:
-            row = []
-            for bs in b:
-                t = (ar + bs) % q
-                acc = 0
-                for c in reversed(coeffs):
-                    acc = (acc * t + c) % q
-                row.append(acc)
-            rows.append(row)
-    else:
-        k = p.degree
-        for ar in a:
-            # fold a_r into the coefficients, then Horner in b_s
-            pw = 1
-            folded = [0] * (k + 1)
-            for i in range(k, -1, -1):
-                folded[i] = coeffs[i] * pw % q
-                pw = pw * ar % q
-            row = []
-            for bs in b:
-                acc = 0
-                for c in reversed(folded):
-                    acc = (acc * bs + c) % q
-                row.append(acc)
-            rows.append(row)
-    return DenseMatrix([[FpElement(v, field) for v in row] for row in rows], field)
+        m = len(c) - 1
+        xs, d = dom.lift(pts.a + pts.b)
+        folded = [ci * d ** (m - i) for i, ci in enumerate(c)]
+        rows = kernel.sum_form(folded, xs[: pts.n], xs[pts.n :], mod)
+        return _wrap(rows, [e * d**m] * pts.n, [1] * pts.n, dom)
+    k = p.degree
+    na, da = dom.parts(pts.a)
+    nb, db = dom.parts(pts.b)
+    rows = kernel.product(kernel.powers(na, da, k, mod), c, kernel.powers(db, nb, k, mod), mod)
+    return _wrap(rows, [e * x**k for x in da], [x**k for x in db], dom)
 
 
 def vandermonde_desc(a: Sequence, k: int, domain: ScalarDomain | None = None) -> DenseMatrix:
     """n x (k+1) matrix with row r = (a_r^k, a_r^(k-1), ..., a_r^0)."""
-    dom, vals = normalize_scalars(a, domain)
-    return DenseMatrix([_powers_desc(x, k, dom) for x in vals], dom)
+    w = vandermonde_asc(a, k, domain)
+    return DenseMatrix([row[::-1] for row in w.entries], w.domain)
 
 
 def vandermonde_asc(b: Sequence, k: int, domain: ScalarDomain | None = None) -> DenseMatrix:
     """n x (k+1) matrix with row s = (b_s^0, b_s^1, ..., b_s^k)."""
     dom, vals = normalize_scalars(b, domain)
-    return DenseMatrix([list(reversed(_powers_desc(x, k, dom))) for x in vals], dom)
-
-
-def _powers_desc(x: Scalar, k: int, dom: ScalarDomain) -> list:
-    powers = [dom.one]
-    for _ in range(k):
-        powers.append(powers[-1] * x)
-    powers.reverse()
-    return powers
+    nums, dens = dom.parts(vals)
+    rows = kernel.powers(dens, nums, k, dom.modulus)
+    return _wrap(rows, [d**k for d in dens], [1] * (k + 1), dom)
 
 
 def factorization_parts(p: HomogeneousPoly, pts: PointVectors):
@@ -201,152 +174,37 @@ def pascal_core(f: UnivariatePoly, n: int) -> DenseMatrix:
     """n x n coefficient grid of f(x+y): cell (i, j) = alpha_{i+j} * C(i+j, i)."""
     if n < 1:
         raise ValueError("grid dimension must be >= 1")
-    rows = [
-        [f.coefficient(i + j) * binomial(i + j, i) for j in range(n)] for i in range(n)
-    ]
-    return DenseMatrix(rows, f.domain)
+    c, e = f.domain.lift(f.coeffs)
+    c += [0] * (2 * n - 1 - len(c))
+    rows = [[c[i + j] * binomial(i + j, i) for j in range(n)] for i in range(n)]
+    return _wrap(rows, [e] * n, [1] * n, f.domain)
 
 
 def vandermonde_product(xs: Sequence) -> Scalar:
-    """prod_{i<j} (x_j - x_i); 1 for fewer than two entries."""
+    """prod_{i<j} (x_j - x_i); 1 for fewer than two entries. Computed as
+    vdm(X) / D^C(n,2) for xs = X/D over one common denominator D."""
     dom, vals = normalize_scalars(xs)
-    if isinstance(dom, PrimeField):
-        q = dom.p
-        iv = [v.value for v in vals]
-        acc = 1
-        for j in range(1, len(iv)):
-            xj = iv[j]
-            for i in range(j):
-                acc = acc * (xj - iv[i]) % q
-        return dom.from_int(acc)
-    acc = dom.one
-    for j in range(1, len(vals)):
-        xj = vals[j]
-        for i in range(j):
-            acc = acc * (xj - vals[i])
-    return acc
+    nums, den = dom.lift(vals)
+    return dom.ratio(kernel.vandermonde(nums, dom.modulus), den ** binomial(len(nums), 2))
 
 
 def bareiss_det(m: DenseMatrix) -> Scalar:
-    """Exact determinant: cofactor expansion for n <= 3, fraction-free
-    (Bareiss) elimination on an integer lift over Q, ordinary elimination
-    over F_p."""
+    """Exact determinant: the kernel eliminates the rows lifted to integers,
+    each over its own common denominator (Bareiss over Z, Gaussian
+    elimination with modular inverses over F_p)."""
     if m.rows != m.cols:
         raise ValueError(f"matrix is {m.rows}x{m.cols}, not square")
-    n = m.rows
-    if n == 0:
-        return m.domain.one
-    if n <= 3:
-        return _cofactor_det(m)
-    if isinstance(m.domain, PrimeField):
-        rows = [[e.value for e in row] for row in m.entries]
-        return m.domain.from_int(_det_mod_p(rows, m.domain.p))
-    num, den = _integer_lift(m)
-    return Fraction(_bareiss_int(num), den)
-
-
-def _cofactor_det(m: DenseMatrix) -> Scalar:
-    e = m.entries
-    if m.rows == 1:
-        return e[0][0]
-    if m.rows == 2:
-        return e[0][0] * e[1][1] - e[0][1] * e[1][0]
-    return (
-        e[0][0] * (e[1][1] * e[2][2] - e[1][2] * e[2][1])
-        - e[0][1] * (e[1][0] * e[2][2] - e[1][2] * e[2][0])
-        + e[0][2] * (e[1][0] * e[2][1] - e[1][1] * e[2][0])
-    )
-
-
-def _integer_lift(m: DenseMatrix):
-    """Clear denominators row by row: returns (int rows, product of row scales)."""
-    num = []
-    den = 1
+    rows, den = [], 1
     for row in m.entries:
-        scale = lcm(*(x.denominator for x in row))
-        num.append([int(x * scale) for x in row])
-        den *= scale
-    return num, den
-
-
-def _bareiss_int(a: list[list[int]]) -> int:
-    """Fraction-free Gaussian elimination; divisions are exact by Sylvester's
-    identity. Mutates its argument."""
-    n = len(a)
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        if a[c][c] == 0:
-            for r in range(c + 1, n):
-                if a[r][c] != 0:
-                    a[c], a[r] = a[r], a[c]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[c][c]
-        for r in range(c + 1, n):
-            arc = a[r][c]
-            row_r = a[r]
-            row_c = a[c]
-            for j in range(c + 1, n):
-                row_r[j] = (pivot * row_r[j] - arc * row_c[j]) // prev
-            row_r[c] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
-
-
-def _det_mod_p(a: list[list[int]], p: int) -> int:
-    """Ordinary Gaussian elimination over F_p. Mutates its argument."""
-    n = len(a)
-    det = 1
-    for c in range(n):
-        pivot_row = None
-        for r in range(c, n):
-            if a[r][c] % p:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return 0
-        if pivot_row != c:
-            a[c], a[pivot_row] = a[pivot_row], a[c]
-            det = -det
-        pivot = a[c][c] % p
-        det = det * pivot % p
-        inv = pow(pivot, p - 2, p)
-        for r in range(c + 1, n):
-            f = a[r][c] * inv % p
-            if f:
-                row_r = a[r]
-                row_c = a[c]
-                for j in range(c, n):
-                    row_r[j] = (row_r[j] - f * row_c[j]) % p
-    return det % p
+        nums, d = m.domain.lift(row)
+        rows.append(nums)
+        den *= d
+    return m.domain.ratio(kernel.det(rows, m.domain.modulus), den)
 
 
 def rank(m: DenseMatrix) -> int:
-    """Exact rank via Gaussian elimination with exact pivoting."""
-    work = [list(row) for row in m.entries]
-    nrows, ncols = m.rows, m.cols
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if work[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        pivot = work[r][c]
-        for i in range(r + 1, nrows):
-            if work[i][c]:
-                f = work[i][c] / pivot
-                work[i] = [work[i][j] - f * work[r][j] for j in range(ncols)]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    """Exact rank, by the kernel's elimination on the row-wise integer lift."""
+    return kernel.echelon([m.domain.lift(row)[0] for row in m.entries], m.domain.modulus)[0]
 
 
 def minor_det(m: DenseMatrix, col_subset: Iterable[int]) -> Scalar:

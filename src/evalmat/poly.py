@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from . import kernel
 from .scalar import (
     RATIONAL,
     Scalar,
@@ -157,18 +158,15 @@ def alternating_poly(k: int, domain: ScalarDomain = RATIONAL) -> HomogeneousPoly
 def complete_homogeneous_all(m: int, xs: Sequence, domain: ScalarDomain | None = None):
     """All of H_0(xs), ..., H_m(xs) in one dynamic-programming pass.
 
-    The recursion H_d(x_1..x_n) = H_d(x_1..x_{n-1}) + x_n H_{d-1}(x_1..x_n)
-    is rolled over a single length-(m+1) row, one pass per variable, so the
-    table is call-local, sized (m+1).
+    The kernel rolls the recursion over the integer numerators X of xs,
+    taken over their common denominator D; H_d is homogeneous of degree d,
+    so H_d(xs) = H_d(X) / D^d.
     """
     dom, vals = normalize_scalars(xs, domain)
     if m < 0:
         return ()
-    h = [dom.one] + [dom.zero] * m
-    for x in vals:
-        for d in range(1, m + 1):
-            h[d] = h[d] + x * h[d - 1]
-    return tuple(h)
+    nums, den = dom.lift(vals)
+    return tuple(dom.ratio(h, den**d) for d, h in enumerate(kernel.h_table(nums, m, dom.modulus)))
 
 
 def complete_homogeneous(m: int, xs: Sequence, domain: ScalarDomain | None = None) -> Scalar:

@@ -11,6 +11,7 @@ domain.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -143,8 +144,7 @@ class FpElement:
     def inverse(self) -> "FpElement":
         if self.value == 0:
             raise ZeroDivisionError(f"inverse of 0 in F_{self.field.p}")
-        # Fermat: p is prime, so x^(p-2) inverts x.
-        return FpElement(pow(self.value, self.field.p - 2, self.field.p), self.field)
+        return FpElement(pow(self.value, -1, self.field.p), self.field)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -169,7 +169,7 @@ class FpElement:
 class PrimeField:
     """Shared context for F_p scalars; prime modulus p < 2^62."""
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "modulus")
 
     def __init__(self, p: int):
         if not isinstance(p, int) or not 2 <= p < MAX_MODULUS:
@@ -177,6 +177,7 @@ class PrimeField:
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         object.__setattr__(self, "p", p)
+        object.__setattr__(self, "modulus", p)
 
     def __setattr__(self, name, val):
         raise AttributeError("PrimeField is immutable")
@@ -192,11 +193,14 @@ class PrimeField:
     def from_int(self, n: int) -> FpElement:
         return FpElement(n, self)
 
-    def parse(self, s: str) -> FpElement:
-        return FpElement(int(s), self)
+    def parts(self, xs) -> tuple[list[int], list[int]]:
+        return [x.value for x in xs], [1] * len(xs)
 
-    def format(self, x: FpElement) -> str:
-        return str(x.value)
+    def lift(self, xs) -> tuple[list[int], int]:
+        return [x.value for x in xs], 1
+
+    def ratio(self, num: int, den: int = 1) -> FpElement:
+        return FpElement(num if den == 1 else num * pow(den, -1, self.p), self)
 
     @property
     def name(self) -> str:
@@ -218,15 +222,23 @@ class RationalDomain:
     zero = Fraction(0)
     one = Fraction(1)
     name = "rational"
+    modulus = None
 
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)
 
-    def parse(self, s: str) -> Fraction:
-        return Fraction(s)
+    def parts(self, xs) -> tuple[list[int], list[int]]:
+        """Integer images: the numerators and the denominators of xs."""
+        return [x.numerator for x in xs], [x.denominator for x in xs]
 
-    def format(self, x: Fraction) -> str:
-        return str(x)
+    def lift(self, xs) -> tuple[list[int], int]:
+        """(nums, den) with xs[i] == nums[i] / den over one common den."""
+        den = math.lcm(*(x.denominator for x in xs))
+        return [x.numerator * (den // x.denominator) for x in xs], den
+
+    def ratio(self, num: int, den: int = 1) -> Fraction:
+        """The scalar num / den: the inverse of a lift."""
+        return Fraction(num, den)
 
     def __eq__(self, other):
         return isinstance(other, RationalDomain)
@@ -258,6 +270,16 @@ def domain_of(x: Scalar) -> ScalarDomain:
     if isinstance(x, (Fraction, int)):
         return RATIONAL
     raise TypeError(f"not a scalar: {x!r}")
+
+
+def shared_domain(*objs) -> ScalarDomain:
+    """The one scalar domain of objects that each carry a ``domain``, such
+    as a polynomial and its points; DomainMismatchError if they differ."""
+    dom = objs[0].domain
+    for obj in objs[1:]:
+        if obj.domain != dom:
+            raise DomainMismatchError(f"cannot mix {dom.name} and {obj.domain.name}")
+    return dom
 
 
 def normalize_scalars(values: Iterable, domain: ScalarDomain | None = None):
@@ -298,9 +320,43 @@ def normalize_scalars(values: Iterable, domain: ScalarDomain | None = None):
     return domain, tuple(out)
 
 
+# CPython refuses int <-> str conversions past 4300 decimal digits by
+# default (640 at the lowest setting). Longer numbers are converted in pieces
+# split at a power of ten, which leaves that process-wide guard on.
+_SPLIT_DIGITS = 600
+_LONG_DECIMAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
+
+
+def _int_str(n: int) -> str:
+    if n.bit_length() < 3 * _SPLIT_DIGITS:
+        return str(n)
+    if n < 0:
+        return "-" + _int_str(-n)
+    k = n.bit_length() * 3 // 20  # about half the digits, since log10(2) > 0.3
+    hi, lo = divmod(n, 10**k)
+    return _int_str(hi) + _int_str(lo).zfill(k)
+
+
+def _digits_int(digits: str) -> int:
+    if len(digits) <= _SPLIT_DIGITS:
+        return int(digits)
+    k = len(digits) // 2
+    return _digits_int(digits[:-k]) * 10**k + _digits_int(digits[-k:])
+
+
 def format_scalar(x: Scalar) -> str:
+    """The wire format: "num/den" or "num" for Q, the residue for F_p."""
+    if isinstance(x, Fraction):
+        num = _int_str(x.numerator)
+        return num if x.denominator == 1 else f"{num}/{_int_str(x.denominator)}"
     return str(x)
 
 
 def parse_scalar(s: str, domain: ScalarDomain) -> Scalar:
-    return domain.parse(s)
+    """Inverse of format_scalar for any number of digits; shorter strings may
+    use any literal that Fraction (Q) or int (F_p) accepts."""
+    m = _LONG_DECIMAL.fullmatch(s) if len(s) > _SPLIT_DIGITS else None
+    if m is None or (m[3] is not None and domain.modulus is not None):
+        return Fraction(s) if domain.modulus is None else FpElement(int(s), domain)
+    num = _digits_int(m[2])
+    return domain.ratio(-num if m[1] == "-" else num, _digits_int(m[3] or "1"))

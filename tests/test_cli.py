@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -150,6 +151,55 @@ def test_verify_sum_form_with_linear_change():
     assert "EQUIVARIANT_PREDICTED" in proc.stdout
     assert "TRANSFORMED_ORACLE" in proc.stdout
     assert "-64" in proc.stdout
+
+
+def _decimal_to_int(text):
+    """int(text) in pieces below the interpreter's int/str digit limit."""
+    sign = -1 if text.startswith("-") else 1
+    digits = text.lstrip("-")
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i : i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return sign * value
+
+
+def test_det_and_verify_past_digit_limit():
+    # n = 40 sum form: the determinant has about 5,850 digits, past CPython's
+    # default 4300-digit int/str limit, on output and on --expect input
+    n = 40
+    lead = 10**100
+    inst = json.dumps(
+        {
+            "domain": "rational",
+            "poly": {"kind": "sum_form", "coeffs": ["0"] * (n - 1) + [str(lead)]},
+            "a": [str(r) for r in range(n)],
+            "b": [str(-s) for s in range(n)],
+        }
+    )
+    vdm = 1
+    for j in range(n):
+        for i in range(j):
+            vdm *= j - i
+    expected = (
+        lead**n
+        * (-1) ** math.comb(n, 2)
+        * math.prod(math.comb(n - 1, i) for i in range(n))
+        * vdm
+        * (-1) ** math.comb(n, 2)
+        * vdm
+    )
+
+    proc = run_cli(["det"], stdin=inst)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["method"] == "SUM_FORM"
+    assert len(out["value"]) > 4300
+    assert _decimal_to_int(out["value"]) == expected
+
+    proc = run_cli(["verify", f"--expect={out['value']}"], stdin=inst)
+    assert proc.returncode == 0, proc.stderr
+    assert "verification: PASS" in proc.stdout
 
 
 def test_matrix_command():

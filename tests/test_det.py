@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evalmat.det import (
     BORDERLINE,
@@ -467,3 +470,38 @@ def test_report_json():
         "value": "3",
         "method": "ORACLE",
     }
+
+
+# ------------------------------------------- lifting edges (property tests)
+def _cb_scalars(dom):
+    if dom is None:
+        fractions = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 9))
+        return st.one_of(st.just(Fraction(0)), fractions)
+    return st.integers(0, dom.p - 1).map(dom.from_int)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([None, None, PrimeField(2), PrimeField(3), F101]), st.data())
+def test_cauchy_binet_routes_and_terms_match_oracle(field, data):
+    # mixed denominators, negative and zero points, zero coefficients
+    # anywhere, and collision-heavy points in F_2 and F_3
+    k = data.draw(st.integers(0, 5))
+    n = data.draw(st.integers(1, min(k + 1, 4)))
+
+    def vec(size):
+        return data.draw(st.lists(_cb_scalars(field), min_size=size, max_size=size))
+
+    coeffs = vec(k + 1)
+    p = HomogeneousPoly(k, coeffs, field)
+    pts = PointVectors(vec(n), vec(n), field)
+    dom = pts.domain
+    expected = oracle_det(p, pts).value
+    support = [i for i, c in enumerate(p.coeffs) if c]
+    for mode in (DIRECT, H_ROUTE):
+        report = det_cauchy_binet(p, pts, mode)
+        assert report.value == expected
+        assert [s for s, _ in report.subset_terms] == list(itertools.combinations(support, n))
+        for subset, term in report.subset_terms:
+            # with support exactly I the expansion has the single term I
+            only = [c if i in subset else dom.zero for i, c in enumerate(p.coeffs)]
+            assert term == oracle_det(HomogeneousPoly(k, only, dom), pts).value

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evalmat.matrix import (
     DenseMatrix,
@@ -232,3 +234,49 @@ def test_matrix_json_roundtrip():
     bad = {"rows": 3, "cols": 2, "entries": [["1", "2"]]}
     with pytest.raises(ValueError):
         matrix_from_json(bad, RATIONAL)
+
+
+# ------------------------------------------- lifting edges (property tests)
+# Mixed denominators, negative and zero points, zero coefficients anywhere,
+# and collision-heavy points in F_2 and F_3.
+LIFT_DOMAINS = [RATIONAL, RATIONAL, PrimeField(2), PrimeField(3), F101]
+
+
+def lift_scalars(dom):
+    if dom == RATIONAL:
+        fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9))
+        return st.one_of(st.just(Fraction(0)), fractions)
+    return st.integers(0, dom.p - 1).map(dom.from_int)
+
+
+@st.composite
+def lift_instances(draw):
+    dom = draw(st.sampled_from(LIFT_DOMAINS))
+    k = draw(st.integers(0, 5))
+    n = draw(st.integers(1, 5))
+
+    def vec(size):
+        return draw(st.lists(lift_scalars(dom), min_size=size, max_size=size))
+
+    return dom, k, vec(k + 1), vec(n), vec(n), draw(st.integers(0, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lift_instances())
+def test_evaluation_matrix_entries_match_evaluate(inst):
+    dom, k, coeffs, a, b, zeros = inst
+    pts = PointVectors(a, b, dom)
+    p = HomogeneousPoly(k, coeffs, dom)
+    m = evaluation_matrix(p, pts)
+    assert m.entries == tuple(tuple(p.evaluate(x, y) for y in pts.b) for x in pts.a)
+    f = UnivariatePoly(coeffs + [dom.zero] * zeros, dom)  # trailing zeros are kept
+    mf = evaluation_matrix(f, pts)
+    assert mf.entries == tuple(tuple(f.evaluate(x + y) for y in pts.b) for x in pts.a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(LIFT_DOMAINS), st.integers(0, 5), st.data())
+def test_bareiss_matches_leibniz_all_domains(dom, n, data):
+    rows = [data.draw(st.lists(lift_scalars(dom), min_size=n, max_size=n)) for _ in range(n)]
+    expected = leibniz_det(rows) if n else dom.one
+    assert bareiss_det(DenseMatrix(rows, dom)) == expected

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evalmat.poly import (
@@ -152,3 +152,22 @@ def test_poly_json_roundtrip():
 
     with pytest.raises(ValueError):
         poly_from_json({"kind": "fourier", "coeffs": []}, RATIONAL)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([None, PrimeField(2), PrimeField(3)]),
+    st.integers(min_value=-1, max_value=5),
+    st.lists(
+        st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))),
+        max_size=4,
+    ),
+)
+def test_complete_homogeneous_all_lifting_edges(field, m, xs):
+    # mixed denominators, negative and zero points; collisions in F_2, F_3
+    if field is None:
+        assert complete_homogeneous_all(m, xs) == tuple(h_brute(d, xs) for d in range(m + 1))
+    else:
+        ints = [x.numerator % field.p for x in xs]
+        hs = complete_homogeneous_all(m, [field.from_int(x) for x in ints], field)
+        assert hs == tuple(field.from_int(int(h_brute(d, ints))) for d in range(m + 1))
