@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ from .det import (
     oracle_det,
     predict_equivariant_det,
     report_to_json,
+    support_subsets,
 )
 from .ffprob import (
     ExperimentConfig,
@@ -53,6 +55,10 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_SIZE = 3
+
+# verify runs each Cauchy-Binet route only up to this many support subsets,
+# 1 to 1.5 s per route at n = 10 over F_p, p = 2^31-1
+CB_VERIFY_BUDGET = 5000
 
 
 @dataclass
@@ -146,7 +152,11 @@ def cmd_det(args) -> int:
     p, pts = inst.poly, inst.pts
     method = args.method
     if method == "auto":
-        report = _auto_report(inst)
+        if args.show_terms and isinstance(p, HomogeneousPoly) and pts.n <= p.degree:
+            # only the minor expansion has subset terms to show
+            report = det_cauchy_binet(p, pts)
+        else:
+            report = _auto_report(inst)
     elif method == "oracle":
         report = oracle_det(p, pts)
     elif method == "borderline":
@@ -168,7 +178,11 @@ def cmd_det(args) -> int:
 
 
 def _engine_values(inst: Instance):
-    """(label, value) for every engine legal at this (n, k), oracle last."""
+    """(label, value) for every engine legal at this (n, k), oracle last.
+
+    A Cauchy-Binet route over CB_VERIFY_BUDGET support subsets is not run;
+    its value is the text of a SKIPPED line instead.
+    """
     p, pts = inst.poly, inst.pts
     rows = []
     if isinstance(p, HomogeneousPoly):
@@ -178,8 +192,13 @@ def _engine_values(inst: Instance):
         if n == k + 1:
             rows.append((BORDERLINE, det_borderline(p, pts).value))
         if n <= k + 1:
-            rows.append(("CAUCHY_BINET_DIRECT", det_cauchy_binet(p, pts, DIRECT).value))
-            rows.append(("CAUCHY_BINET_H_ROUTE", det_cauchy_binet(p, pts, H_ROUTE).value))
+            s = support_subsets(p, n)
+            routes = (("CAUCHY_BINET_DIRECT", DIRECT), ("CAUCHY_BINET_H_ROUTE", H_ROUTE))
+            for label, mode in routes:
+                if s > CB_VERIFY_BUDGET:
+                    rows.append((label, f"SKIPPED ({s} subsets > {CB_VERIFY_BUDGET})"))
+                else:
+                    rows.append((label, det_cauchy_binet(p, pts, mode).value))
     else:
         n, k = pts.n, p.degree
         if n >= k + 2:
@@ -213,11 +232,13 @@ def cmd_verify(args) -> int:
     width = max(len(label) for g in groups for label, _ in g) + 2
     for group in groups:
         for label, value in group:
-            print(f"{label:<{width}}{format_scalar(value)}")
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                li, vi = group[i]
-                lj, vj = group[j]
+            shown = value if isinstance(value, str) else format_scalar(value)
+            print(f"{label:<{width}}{shown}")
+        compared = [row for row in group if not isinstance(row[1], str)]
+        for i in range(len(compared)):
+            for j in range(i + 1, len(compared)):
+                li, vi = compared[i]
+                lj, vj = compared[j]
                 if vi == vj:
                     print(f"  {li} == {lj}: PASS")
                 else:
@@ -281,7 +302,11 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and then shared: main() may run many
+    times in one process, and parse_args keeps no state between calls. It
+    holds no handler functions (main picks them by subcommand name)."""
     parser = argparse.ArgumentParser(
         prog="evalmat",
         description="Exact determinants of bivariate polynomial evaluation matrices.",
@@ -299,16 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
     )
     p_det.add_argument("--show-terms", action="store_true", help="include subset terms")
-    p_det.set_defaults(handler=cmd_det)
 
     p_verify = sub.add_parser("verify", help="cross-check every applicable engine")
     add_instance_args(p_verify)
     p_verify.add_argument("--expect", default=None, help="additionally compare to this value")
-    p_verify.set_defaults(handler=cmd_verify)
 
     p_matrix = sub.add_parser("matrix", help="print A and its factors")
     add_instance_args(p_matrix)
-    p_matrix.set_defaults(handler=cmd_matrix)
 
     p_ff = sub.add_parser("ffprob", help="finite-field vanishing experiment")
     p_ff.add_argument("--p", type=int, required=True, help="prime field order")
@@ -318,22 +340,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_ff.add_argument("--trials", type=int, required=True)
     p_ff.add_argument("--seed", type=int, default=None)
     p_ff.add_argument("--csv", action="store_true", help="emit the one-line CSV record")
-    p_ff.set_defaults(handler=cmd_ffprob)
 
     p_bench = sub.add_parser("bench", help="time borderline formula vs elimination")
     p_bench.add_argument("--sizes", required=True, help="comma-separated n values (k = n-1)")
     p_bench.add_argument("--domain", default="fp:2147483647")
     p_bench.add_argument("--trials", type=int, default=3, help="timing repeats per method")
     p_bench.add_argument("--seed", type=int, default=None)
-    p_bench.set_defaults(handler=cmd_bench)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up per call, not stored in the shared parser, so a cmd_* replaced
+    # on this module (by a tracer or a test) is the one that runs
+    handler = {
+        "det": cmd_det,
+        "verify": cmd_verify,
+        "matrix": cmd_matrix,
+        "ffprob": cmd_ffprob,
+        "bench": cmd_bench,
+    }[args.command]
     try:
-        return args.handler(args)
+        return handler(args)
     except SizeMismatchError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SIZE

@@ -3,7 +3,9 @@
 Every engine is cross-checkable against the Bareiss oracle. The size regime
 relative to the polynomial degree k decides the method: n >= k+2 vanishes by
 rank, n = k+1 factors into sign * coefficient product * two Vandermonde
-products, and n <= k expands as a column-subset minor sum.
+products, and n <= k expands as a column-subset minor sum when counting the
+subsets shows that to be cheaper than building A and eliminating, and falls
+back to the elimination oracle otherwise (see det_structured).
 """
 
 from __future__ import annotations
@@ -90,13 +92,28 @@ def det_structured(
     p: HomogeneousPoly, pts: PointVectors, minor_mode: str = DIRECT
 ) -> DetReport:
     """Dispatch on the size regime: vanish (n >= k+2), borderline (n = k+1),
-    or Cauchy-Binet minor expansion (n <= k). No matrix is built."""
+    or, for n <= k, the cheaper of Cauchy-Binet and elimination.
+
+    The minor expansion costs two n x n eliminations per support subset,
+    about S*n^3 for S = support_subsets(p, n); building A and eliminating it
+    once costs about n^2(k+1) + n^3. Cauchy-Binet (with minor_mode) runs when
+    S*n <= k+1+n, which includes n = 1 and S = 0, where the support is
+    smaller than n and the empty sum gives 0 without building a matrix.
+    Otherwise oracle_det answers with the same value and method ORACLE.
+    """
     n, k = pts.n, p.degree
     if n >= k + 2:
         return DetReport(value=pts.domain.zero, method=VANISH_RANK)
     if n == k + 1:
         return det_borderline(p, pts)
-    return det_cauchy_binet(p, pts, minor_mode)
+    if support_subsets(p, n) * n <= k + 1 + n:
+        return det_cauchy_binet(p, pts, minor_mode)
+    return oracle_det(p, pts)
+
+
+def support_subsets(p: HomogeneousPoly, n: int) -> int:
+    """Number of Cauchy-Binet terms at n points: the n-subsets of the support."""
+    return math.comb(len(p.support()), n)
 
 
 def det_borderline(p: HomogeneousPoly, pts: PointVectors) -> DetReport:

@@ -1,12 +1,15 @@
+import io
 import json
 import math
+import random
 import subprocess
 import sys
 
 import pytest
 
+from evalmat import cli
 from evalmat.bench import BenchMismatchError
-from evalmat.cli import instance_to_json, load_instance
+from evalmat.cli import instance_to_json, load_instance, main
 from evalmat.scalar import RATIONAL, PrimeField
 
 
@@ -291,3 +294,91 @@ def test_unknown_domain_exit_2():
     proc = run_cli(["det"], stdin=inst)
     assert proc.returncode == 2
     assert "domain" in proc.stderr
+
+
+def run_main(monkeypatch, capsys, args, stdin=""):
+    """main() in this process, as perfbench drives it: (exit code, stdout)."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    code = main(args)
+    return code, capsys.readouterr().out
+
+
+N2_K2_INSTANCE = json.dumps(
+    {
+        "domain": "rational",
+        "poly": {"kind": "homogeneous", "degree": 2, "coeffs": ["1", "2", "1"]},
+        "a": ["0", "1"],
+        "b": ["0", "1"],
+    }
+)
+
+
+def test_main_in_process_options_do_not_carry_over(monkeypatch, capsys):
+    # the parser is built once per process; each call still parses afresh.
+    # At n = 2, k = 2 auto dispatch picks the oracle (S*n = 6 > k+1+n = 5),
+    # and --show-terms keeps the minor expansion, the only engine with terms.
+    code, out = run_main(monkeypatch, capsys, ["det", "--show-terms"], N2_K2_INSTANCE)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["method"] == "CAUCHY_BINET" and len(rep["subset_terms"]) == 3
+    code, out = run_main(monkeypatch, capsys, ["det"], N2_K2_INSTANCE)
+    assert code == 0
+    assert json.loads(out) == {"domain": "rational", "value": "-1", "method": "ORACLE"}
+
+    args = ["ffprob", "--p", "101", "--n", "3", "--k", "2", "--trials", "50", "--seed", "3"]
+    code, out = run_main(monkeypatch, capsys, args + ["--csv"])
+    assert code == 0 and out.startswith("101,3,2,50,3,")
+    code, out = run_main(monkeypatch, capsys, args)
+    assert code == 0 and json.loads(out)["trials"] == 50
+
+
+def test_verify_budget_skips_cauchy_binet_routes(monkeypatch, capsys):
+    # n = 2, k = 2, dense support: S = 3 subsets; at the budget both routes run
+    monkeypatch.setattr(cli, "CB_VERIFY_BUDGET", 3)
+    code, full = run_main(monkeypatch, capsys, ["verify"], N2_K2_INSTANCE)
+    assert code == 0 and "SKIPPED" not in full
+    assert "CAUCHY_BINET_DIRECT == CAUCHY_BINET_H_ROUTE: PASS" in full
+
+    monkeypatch.setattr(cli, "CB_VERIFY_BUDGET", 2)
+    code, out = run_main(monkeypatch, capsys, ["verify", "--expect", "7"], N2_K2_INSTANCE)
+    assert code == 1
+    assert out.splitlines()[:3] == [
+        "CAUCHY_BINET_DIRECT   SKIPPED (3 subsets > 2)",
+        "CAUCHY_BINET_H_ROUTE  SKIPPED (3 subsets > 2)",
+        "ORACLE                -1",
+    ]
+    assert "CAUCHY_BINET_DIRECT ==" not in out and "== CAUCHY_BINET" not in out
+    assert "  ORACLE == EXPECTED: FAIL (-1 != 7)" in out
+
+
+def test_verify_large_cauchy_binet_skipped():
+    rng = random.Random(17)
+    p = 2**31 - 1
+    inst = json.dumps(
+        {
+            "domain": f"fp:{p}",
+            "poly": {"kind": "homogeneous", "degree": 20, "coeffs": [str(rng.randrange(1, p)) for _ in range(21)]},
+            "a": [str(rng.randrange(p)) for _ in range(10)],
+            "b": [str(rng.randrange(p)) for _ in range(10)],
+        }
+    )
+    # 352,716 subsets per route: minutes without the budget
+    proc = subprocess.run(
+        [sys.executable, "-m", "evalmat", "verify"],
+        input=inst,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert f"CAUCHY_BINET_DIRECT   SKIPPED (352716 subsets > {cli.CB_VERIFY_BUDGET})" in lines
+    assert f"CAUCHY_BINET_H_ROUTE  SKIPPED (352716 subsets > {cli.CB_VERIFY_BUDGET})" in lines
+
+
+def test_main_runs_handler_replaced_on_module(monkeypatch, capsys):
+    # the shared parser must not pin the handlers it saw when it was built:
+    # tracers and tests replace cmd_* on the module
+    run_main(monkeypatch, capsys, ["det"], N2_K2_INSTANCE)
+    monkeypatch.setattr(cli, "cmd_det", lambda args: 7)
+    assert main(["det"]) == 7

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -505,3 +506,62 @@ def test_cauchy_binet_routes_and_terms_match_oracle(field, data):
             # with support exactly I the expansion has the single term I
             only = [c if i in subset else dom.zero for i, c in enumerate(p.coeffs)]
             assert term == oracle_det(HomogeneousPoly(k, only, dom), pts).value
+
+
+# ------------------------------------------------------ cost-aware dispatch
+
+
+def test_cauchy_binet_routes_match_oracle_sweep():
+    # the dispatcher sends most n <= k instances to the oracle, so both
+    # minor-expansion routes get their own sweep over the dispatcher's grid
+    rng = random.Random(113)
+    for k in range(0, 6):
+        for n in range(1, k + 1):
+            for _ in range(200):
+                p, pts = rand_instance(rng, k, n)
+                expected = bareiss_det(evaluation_matrix(p, pts))
+                assert det_cauchy_binet(p, pts, DIRECT).value == expected
+                assert det_cauchy_binet(p, pts, H_ROUTE).value == expected
+
+
+def test_dispatch_follows_cost_rule():
+    # random supports put instances with n >= 2 on both sides of S*n <= k+1+n
+    rng = random.Random(127)
+    seen = set()
+    for k in range(1, 9):
+        for n in range(1, k + 1):
+            for _ in range(8):
+                p, pts = rand_instance(rng, k, n)
+                p = HomogeneousPoly(k, [c if rng.random() < 0.5 else 0 for c in p.coeffs])
+                rep = det_structured(p, pts)
+                cheap = math.comb(len(p.support()), n) * n <= k + 1 + n
+                assert rep.method == (CAUCHY_BINET if cheap else ORACLE)
+                assert rep.value == oracle_det(p, pts).value
+                seen.add((n > 1, rep.method))
+    assert seen == {(False, CAUCHY_BINET), (True, CAUCHY_BINET), (True, ORACLE)}
+
+
+def test_dispatch_dense_n6_k12_uses_oracle():
+    rng = random.Random(131)
+    F = PrimeField(2**31 - 1)
+    p = HomogeneousPoly(12, [F.from_int(rng.randrange(1, F.p)) for _ in range(13)], F)
+    pts = PointVectors(
+        [F.from_int(rng.randrange(F.p)) for _ in range(6)],
+        [F.from_int(rng.randrange(F.p)) for _ in range(6)],
+        F,
+    )
+    rep = det_structured(p, pts, H_ROUTE)
+    assert rep.method == ORACLE and rep.subset_terms is None
+    assert rep.value == oracle_det(p, pts).value == det_cauchy_binet(p, pts, H_ROUTE).value
+
+
+def test_dispatch_support_smaller_than_n_builds_no_matrix(monkeypatch):
+    import evalmat.det as det_mod
+
+    def no_matrix(*args):
+        raise AssertionError("built a matrix")
+
+    monkeypatch.setattr(det_mod, "evaluation_matrix", no_matrix)
+    p = HomogeneousPoly(5, [3, 0, 0, 0, 0, 7])
+    rep = det_structured(p, PointVectors([1, 2, 3], [4, 5, 6]))
+    assert rep.method == CAUCHY_BINET and rep.value == 0 and rep.subset_terms == ()
