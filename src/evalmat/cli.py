@@ -133,10 +133,10 @@ def _read_instance(args) -> Instance:
     return load_instance(text)
 
 
-def _auto_report(inst: Instance, minor_mode: str = DIRECT) -> DetReport:
+def _auto_report(inst: Instance) -> DetReport:
     p, pts = inst.poly, inst.pts
     if isinstance(p, HomogeneousPoly):
-        return det_structured(p, pts, minor_mode)
+        return det_structured(p, pts)
     # sum form: vanishing and borderline regimes have closed forms, the
     # rectangular-core regime n <= deg f falls back to the oracle
     k = p.degree
@@ -235,6 +235,8 @@ def cmd_verify(args) -> int:
             shown = value if isinstance(value, str) else format_scalar(value)
             print(f"{label:<{width}}{shown}")
         compared = [row for row in group if not isinstance(row[1], str)]
+        if len(compared) == 1:
+            print(f"  nothing compared: {compared[0][0]} is the only engine run")
         for i in range(len(compared)):
             for j in range(i + 1, len(compared)):
                 li, vi = compared[i]

@@ -9,11 +9,30 @@ row (A_r^k, A_r^(k-1) d_r, ..., d_r^k) over d_r^k, W likewise over e_s^k,
 and A = V D_alpha W^T has entries (V D_c W^T)[r][s] / (E d_r^k e_s^k) for
 coefficients c_i/E. The symmetric functions (Vandermonde product, H_m) take
 a vector over its common denominator D instead: H_m(X/D) = H_m(X) / D^m.
+
+Packed rows over F_p. ``echelon``, ``product`` and ``sum_form`` hold a
+whole row (or column) of residues in one Python int, entry j in bits
+[j*w, (j+1)*w) with w a whole number of bytes, so that a row operation is
+one big-int multiply and add done by CPython in C. Every slot only ever
+grows by adding products of residues in [0, p), so it cannot borrow from
+its neighbour; w is chosen so that the largest sum a slot can reach fits
+below 2^w, so it cannot carry into its neighbour either, and slots are
+reduced mod p only when they are read. For a product over k terms that
+sum is k (p-1)^2; in elimination a row receives at most one multiple of a
+reduced pivot row per step, (p-1)^2 per slot, so rows (p-1)^2 + p bounds
+every slot. Packing and unpacking cost a few interpreted operations per
+entry, which an n x n matrix pays back only from about PACK_MIN rows on;
+below that (the Cauchy-Binet minors, the ffprob trials) the entry-by-entry
+code runs, and it stays the reference the packed code is tested against.
 """
 
 from __future__ import annotations
 
 from operator import mul
+
+# the F_p kernels pack rows from this many rows (and columns) on; see the
+# crossover table in CHANGES.md
+PACK_MIN = 16
 
 
 def powers(xs: list[int], ds: list[int], k: int, mod: int | None = None) -> list[list[int]]:
@@ -30,8 +49,26 @@ def powers(xs: list[int], ds: list[int], k: int, mod: int | None = None) -> list
     return rows
 
 
+def _slot_bytes(bound: int) -> int:
+    """Bytes per slot for slot values up to bound: the least w with 2^w > bound."""
+    return max(1, (bound.bit_length() + 7) // 8)
+
+
+def _pack(row: list[int], size: int, mod: int) -> int:
+    """The residues of row, entry j in slot j of size bytes."""
+    return int.from_bytes(b"".join([(x % mod).to_bytes(size, "little") for x in row]), "little")
+
+
+def _unpack(packed: int, count: int, size: int, mod: int) -> list[int]:
+    """The count slots of packed, each reduced mod p."""
+    raw = packed.to_bytes(count * size, "little")
+    return [int.from_bytes(raw[i : i + size], "little") % mod for i in range(0, len(raw), size)]
+
+
 def product(v: list[list[int]], c: list[int], w: list[list[int]], mod: int | None = None):
     """V * diag(c) * W^T: entry (r, s) is sum_i v[r][i] * c[i] * w[s][i]."""
+    if len(v) >= PACK_MIN and len(w) >= PACK_MIN and mod is not None:
+        return _product_packed(v, c, w, mod)
     vc = [[x * y for x, y in zip(row, c)] for row in v]
     if mod is None:
         return [[sum(map(mul, u, t)) for t in w] for u in vc]
@@ -39,8 +76,37 @@ def product(v: list[list[int]], c: list[int], w: list[list[int]], mod: int | Non
     return [[sum(map(mul, u, t)) % mod for t in w] for u in vc]
 
 
+def _product_packed(v, c, w, mod):
+    """Each column i of W packed across s; row r is then the packed sum of
+    (v[r][i] c[i] mod p) * column_i, unpacked once."""
+    size = _slot_bytes(len(c) * (mod - 1) ** 2)
+    cols = [_pack(col, size, mod) for col in zip(*w)]
+    return [
+        _unpack(sum(map(mul, [x * y % mod for x, y in zip(row, c)], cols)), len(w), size, mod)
+        for row in v
+    ]
+
+
+def pascal(coeffs: list[int], n: int, mod: int | None = None) -> list[list[int]]:
+    """n x n grid of the coefficients of f(x+y) = sum_{i,j} P[i][j] x^i y^j:
+    P[i][j] = coeffs[i+j] * C(i+j, i), 0 past the last coefficient."""
+    grid = [[0] * n for _ in range(n)]
+    binom = [1]  # C(t, 0..t) on anti-diagonal i + j = t
+    for t in range(min(len(coeffs), 2 * n - 1)):
+        for i in range(max(0, t - n + 1), min(t, n - 1) + 1):
+            cell = coeffs[t] * binom[i]
+            grid[i][t - i] = cell if mod is None else cell % mod
+        binom = [1] + [x + y if mod is None else (x + y) % mod for x, y in zip(binom, binom[1:])] + [1]
+    return grid
+
+
 def sum_form(coeffs: list[int], xs: list[int], ys: list[int], mod: int | None = None):
-    """[f(x_r + y_s)] by Horner, for f(t) = sum_i coeffs[i] t^i."""
+    """[f(x_r + y_s)] for f(t) = sum_i coeffs[i] t^i, by Horner in x_r + y_s
+    entry by entry, or over F_p from the Pascal grid (see _sum_form_packed)."""
+    # the packed route builds the (deg+1)^2 Pascal grid, which only pays
+    # while it is no larger than the n x n result: deg < n
+    if len(xs) >= PACK_MIN and len(ys) >= PACK_MIN and 0 < len(coeffs) <= len(xs) and mod is not None:
+        return _sum_form_packed(coeffs, xs, ys, mod)
     rc = coeffs[::-1]
     rows = []
     for x in xs:
@@ -54,14 +120,30 @@ def sum_form(coeffs: list[int], xs: list[int], ys: list[int], mod: int | None = 
     return rows
 
 
+def _sum_form_packed(coeffs, xs, ys, mod):
+    """X * P * Y^T for X = [x_r^i], Y = [y_s^j] and the symmetric Pascal grid
+    P of f, as two packed products: Y P^T first, then X times that."""
+    m = len(coeffs) - 1
+    grid = pascal(coeffs, m + 1, mod)
+    ones = [1] * (m + 1)
+    yp = _product_packed(powers([1] * len(ys), ys, m, mod), ones, grid, mod)
+    return _product_packed(powers([1] * len(xs), xs, m, mod), ones, yp, mod)
+
+
 def vandermonde(xs: list[int], mod: int | None = None) -> int:
     """prod_{i<j} (x_j - x_i); 1 for fewer than two entries."""
     acc = 1
     for j, xj in enumerate(xs):
-        for xi in xs[:j]:
-            acc *= xj - xi
-            if mod is not None:
-                acc %= mod
+        if mod is None:
+            for xi in xs[:j]:
+                acc *= xj - xi
+            continue
+        # four differences per reduction mod p
+        prev = xs[:j]
+        for u, v, s, t in zip(prev[::4], prev[1::4], prev[2::4], prev[3::4]):
+            acc = acc * ((xj - u) * (xj - v) * (xj - s) * (xj - t)) % mod
+        for u in prev[j - j % 4 :]:
+            acc = acc * (xj - u) % mod
     return acc
 
 
@@ -76,10 +158,12 @@ def h_table(xs: list[int], m: int, mod: int | None = None) -> list[int]:
 
 
 def echelon(a: list[list[int]], mod: int | None = None) -> tuple[int, int]:
-    """Row echelon form of a, in place, column by column: fraction-free
+    """Row echelon form of a, column by column; consumes a. Fraction-free
     (Bareiss) over Z, where each division is exact by Sylvester's identity,
     and with the pivot inverse pow(x, -1, p) over F_p. Returns the rank and,
     for a square matrix of full rank, its determinant."""
+    if len(a) >= PACK_MIN and len(a[0]) >= PACK_MIN and mod is not None:
+        return _echelon_packed(a, mod)
     rank, sign, prev, d = 0, 1, 1, 1
     for c in range(len(a[0]) if a else 0):
         for i in range(rank, len(a)):
@@ -108,6 +192,38 @@ def echelon(a: list[list[int]], mod: int | None = None) -> tuple[int, int]:
                         row[j] = (row[j] - f * top[j]) % mod
         rank += 1
     return rank, sign * d if mod is None else sign * d % mod
+
+
+def _echelon_packed(a, mod):
+    """Elimination over F_p on packed rows. The current column is always
+    slot 0: each step shifts it out of every row and adds g = -h/pivot mod p
+    (so 0 <= g < p) times the pivot row's remaining slots, reduced, to each
+    row with h in slot 0. Only the pivot row is ever unpacked."""
+    cols = len(a[0])
+    size = _slot_bytes(len(a) * (mod - 1) ** 2 + mod)
+    shift = 8 * size
+    mask = (1 << shift) - 1
+    live = [_pack(row, size, mod) for row in a]
+    rank, sign, d = 0, 1, 1
+    for c in range(cols):
+        for i, row in enumerate(live):
+            pivot = (row & mask) % mod
+            if pivot:
+                break
+        else:
+            live = [row >> shift for row in live]
+            continue
+        if i:
+            live[0], live[i] = live[i], live[0]
+            sign = -sign
+        d = d * pivot % mod
+        neg_inv = mod - pow(pivot, -1, mod)
+        top = _pack(_unpack(live[0] >> shift, cols - c - 1, size, mod), size, mod)
+        live = [(row >> shift) + (neg_inv * (row & mask) % mod) * top for row in live[1:]]
+        rank += 1
+        if not live:
+            break
+    return rank, sign * d % mod
 
 
 def det(a: list[list[int]], mod: int | None = None) -> int:

@@ -175,9 +175,7 @@ def pascal_core(f: UnivariatePoly, n: int) -> DenseMatrix:
     if n < 1:
         raise ValueError("grid dimension must be >= 1")
     c, e = f.domain.lift(f.coeffs)
-    c += [0] * (2 * n - 1 - len(c))
-    rows = [[c[i + j] * binomial(i + j, i) for j in range(n)] for i in range(n)]
-    return _wrap(rows, [e] * n, [1] * n, f.domain)
+    return _wrap(kernel.pascal(c, n, f.domain.modulus), [e] * n, [1] * n, f.domain)
 
 
 def vandermonde_product(xs: Sequence) -> Scalar:

@@ -376,6 +376,33 @@ def test_verify_large_cauchy_binet_skipped():
     assert f"CAUCHY_BINET_H_ROUTE  SKIPPED (352716 subsets > {cli.CB_VERIFY_BUDGET})" in lines
 
 
+def test_verify_says_when_nothing_was_compared(monkeypatch, capsys):
+    # n = 10, k = 20 over F_p: both Cauchy-Binet routes are over the budget,
+    # so the oracle is the only engine and no pair is checked
+    rng = random.Random(23)
+    p = 2**31 - 1
+    inst = json.dumps(
+        {
+            "domain": f"fp:{p}",
+            "poly": {"kind": "homogeneous", "degree": 20, "coeffs": [str(rng.randrange(1, p)) for _ in range(21)]},
+            "a": [str(rng.randrange(p)) for _ in range(10)],
+            "b": [str(rng.randrange(p)) for _ in range(10)],
+        }
+    )
+    code, out = run_main(monkeypatch, capsys, ["verify"], inst)
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines[:3]] == [
+        "CAUCHY_BINET_DIRECT",
+        "CAUCHY_BINET_H_ROUTE",
+        "ORACLE",
+    ]
+    assert lines[3:] == [
+        "  nothing compared: ORACLE is the only engine run",
+        "verification: PASS",
+    ]
+
+
 def test_main_runs_handler_replaced_on_module(monkeypatch, capsys):
     # the shared parser must not pin the handlers it saw when it was built:
     # tracers and tests replace cmd_* on the module

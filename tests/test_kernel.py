@@ -1,0 +1,145 @@
+"""The packed-row F_p kernels against the entry-by-entry code they replace
+from PACK_MIN rows on. The packed functions are called directly and the
+public ones with packing switched off, so both routes run at every size;
+the public tests check the dispatch around PACK_MIN against the closed
+forms."""
+
+import random
+
+import pytest
+
+from evalmat import kernel
+from evalmat.det import det_borderline, det_sum_form
+from evalmat.matrix import PointVectors, bareiss_det, evaluation_matrix
+from evalmat.poly import HomogeneousPoly, UnivariatePoly
+from evalmat.scalar import PrimeField
+
+# F_2 and F_3 are full of singular matrices; 2^61-1 needs the widest slots
+PRIMES = [2, 3, 101, 2**31 - 1, 2**61 - 1]
+
+
+def rand_rows(rng, rows, cols, p):
+    return [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+
+
+@pytest.fixture
+def entries(monkeypatch):
+    """Call a kernel with the packed routes switched off."""
+
+    def run(fn, *args):
+        with monkeypatch.context() as m:
+            m.setattr(kernel, "PACK_MIN", 10**9)
+            return fn(*args)
+
+    return run
+
+
+@pytest.fixture
+def both_echelons(entries):
+    def run(a, p):
+        return (
+            entries(kernel.echelon, [row[:] for row in a], p),
+            kernel._echelon_packed([row[:] for row in a], p),
+        )
+
+    return run
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_packed_echelon_matches_entries_square_and_rectangular(p, both_echelons):
+    rng = random.Random(p % 1000)
+    for n in range(1, 41):
+        for cols in {n, n + 3, max(1, n - 4)}:
+            a = rand_rows(rng, n, cols, p)
+            entries, packed = both_echelons(a, p)
+            assert packed == entries, (n, cols)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_packed_echelon_repeated_rows_and_zero_columns(p, both_echelons):
+    rng = random.Random(7 + p % 1000)
+    for n in (2, 5, 16, 17, 31, 40):
+        a = rand_rows(rng, n, n, p)
+        a[n - 1] = list(a[0])
+        a[n // 2] = [(x + y) % p for x, y in zip(a[0], a[1])]
+        for row in a:
+            row[n // 3] = 0
+            row[-1] = 0
+        entries, packed = both_echelons(a, p)
+        assert packed == entries
+        assert packed[0] < n
+        assert kernel.det([row[:] for row in a], p) == 0
+        # all-zero and rank-one matrices
+        assert both_echelons([[0] * n for _ in range(n)], p) == ((0, 1), (0, 1))
+        one = [rng.randrange(p) for _ in range(n)]
+        entries, packed = both_echelons([[x * c % p for x in one] for c in range(1, n + 1)], p)
+        assert packed == entries and packed[0] == (1 if any(one) else 0)
+
+
+def test_echelon_dispatches_on_pack_min(entries):
+    rng = random.Random(11)
+    p = 2**31 - 1
+    for n in (kernel.PACK_MIN - 1, kernel.PACK_MIN, 40):
+        a = rand_rows(rng, n, n, p)
+        assert kernel.echelon([row[:] for row in a], p) == entries(kernel.echelon, a, p)
+        wide = rand_rows(rng, n, n + 5, p)
+        assert kernel.echelon([row[:] for row in wide], p) == entries(kernel.echelon, wide, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_packed_product_matches_entries(p, entries):
+    rng = random.Random(3 + p % 1000)
+    for n, m, k in [(1, 1, 1), (1, 7, 3), (9, 2, 1), (16, 16, 16), (17, 30, 5), (40, 40, 40), (16, 20, 200)]:
+        v = rand_rows(rng, n, k, p)
+        w = rand_rows(rng, m, k, p)
+        c = [rng.randrange(p) if i % 5 else 0 for i in range(k)]
+        assert kernel._product_packed(v, c, w, p) == entries(kernel.product, v, c, w, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_packed_sum_form_matches_horner(p, entries):
+    rng = random.Random(5 + p % 1000)
+    # deg < n as dispatched, deg = n - 1, and deg far above n
+    for n, deg in [(1, 0), (3, 2), (16, 4), (16, 15), (25, 24), (40, 39), (12, 90)]:
+        coeffs = [rng.randrange(p) for _ in range(deg + 1)]
+        xs = [rng.randrange(p) for _ in range(n)]
+        ys = [rng.randrange(p) for _ in range(n)]
+        expected = entries(kernel.sum_form, coeffs, xs, ys, p)
+        assert kernel._sum_form_packed(coeffs, xs, ys, p) == expected
+        assert kernel.sum_form(coeffs, xs, ys, p) == expected
+
+
+def test_vandermonde_grouped_differences_match_one_at_a_time():
+    rng = random.Random(13)
+    for p in PRIMES:
+        for n in range(0, 12):
+            xs = [rng.randrange(p) for _ in range(n)]
+            acc = 1
+            for j in range(n):
+                for i in range(j):
+                    acc = acc * (xs[j] - xs[i]) % p
+            assert kernel.vandermonde(xs, p) == acc
+
+
+@pytest.mark.parametrize("kind", ["homogeneous", "sum_form"])
+def test_public_det_around_pack_min(kind, entries):
+    field = PrimeField(2**31 - 1)
+    rng = random.Random(17)
+    for n in (kernel.PACK_MIN - 1, kernel.PACK_MIN, 40):
+        coeffs = [field.from_int(rng.randrange(1, field.p)) for _ in range(n)]
+        pts = PointVectors(
+            [field.from_int(rng.randrange(field.p)) for _ in range(n)],
+            [field.from_int(rng.randrange(field.p)) for _ in range(n)],
+            field,
+        )
+        if kind == "homogeneous":
+            poly = HomogeneousPoly(n - 1, coeffs, field)
+            closed = det_borderline(poly, pts).value
+        else:
+            poly = UnivariatePoly(coeffs, field)
+            closed = det_sum_form(poly, pts).value
+        matrix = evaluation_matrix(poly, pts)
+        value = bareiss_det(matrix)
+        assert value == closed
+        assert entries(evaluation_matrix, poly, pts) == matrix
+        assert entries(bareiss_det, matrix) == value
