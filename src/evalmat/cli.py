@@ -10,13 +10,9 @@ from dataclasses import dataclass
 
 from . import bench as bench_mod
 from .det import (
-    BORDERLINE,
     DIRECT,
     H_ROUTE,
     ORACLE,
-    SUM_FORM,
-    VANISH_RANK,
-    DetReport,
     LinearChange,
     det_borderline,
     det_cauchy_binet,
@@ -35,7 +31,6 @@ from .ffprob import (
 )
 from .matrix import (
     PointVectors,
-    bareiss_det,
     evaluation_matrix,
     factorization_parts,
     matrix_to_json,
@@ -133,44 +128,26 @@ def _read_instance(args) -> Instance:
     return load_instance(text)
 
 
-def _auto_report(inst: Instance) -> DetReport:
-    p, pts = inst.poly, inst.pts
-    if isinstance(p, HomogeneousPoly):
-        return det_structured(p, pts)
-    # sum form: vanishing and borderline regimes have closed forms, the
-    # rectangular-core regime n <= deg f falls back to the oracle
-    k = p.degree
-    if pts.n >= k + 2:
-        return DetReport(value=pts.domain.zero, method=VANISH_RANK)
-    if pts.n == k + 1:
-        return det_sum_form(p, pts)
-    return oracle_det(p, pts)
-
-
 def cmd_det(args) -> int:
     inst = _read_instance(args)
     p, pts = inst.poly, inst.pts
     method = args.method
+    if method == "auto" and args.show_terms and isinstance(p, HomogeneousPoly) and pts.n <= p.degree:
+        method = "cb-direct"  # only the minor expansion has subset terms to show
     if method == "auto":
-        if args.show_terms and isinstance(p, HomogeneousPoly) and pts.n <= p.degree:
-            # only the minor expansion has subset terms to show
-            report = det_cauchy_binet(p, pts)
-        else:
-            report = _auto_report(inst)
+        report = det_structured(p, pts)
     elif method == "oracle":
         report = oracle_det(p, pts)
-    elif method == "borderline":
-        if not isinstance(p, HomogeneousPoly):
-            raise ValueError("--method borderline needs a homogeneous polynomial")
-        report = det_borderline(p, pts)
-    elif method in ("cb-direct", "cb-h"):
-        if not isinstance(p, HomogeneousPoly):
-            raise ValueError(f"--method {method} needs a homogeneous polynomial")
-        report = det_cauchy_binet(p, pts, DIRECT if method == "cb-direct" else H_ROUTE)
-    else:  # sum-form
+    elif method == "sum-form":
         if not isinstance(p, UnivariatePoly):
             raise ValueError("--method sum-form needs a sum_form polynomial")
         report = det_sum_form(p, pts)
+    elif not isinstance(p, HomogeneousPoly):
+        raise ValueError(f"--method {method} needs a homogeneous polynomial")
+    elif method == "borderline":
+        report = det_borderline(p, pts)
+    else:
+        report = det_cauchy_binet(p, pts, DIRECT if method == "cb-direct" else H_ROUTE)
     out = {"domain": inst.domain.name}
     out.update(report_to_json(report, include_terms=args.show_terms))
     print(json.dumps(out, indent=2))
@@ -178,33 +155,26 @@ def cmd_det(args) -> int:
 
 
 def _engine_values(inst: Instance):
-    """(label, value) for every engine legal at this (n, k), oracle last.
+    """(label, value), oracle last: det_structured's engine at n >= k+1 and,
+    for a homogeneous p at n <= k+1, both Cauchy-Binet routes.
 
     A Cauchy-Binet route over CB_VERIFY_BUDGET support subsets is not run;
     its value is the text of a SKIPPED line instead.
     """
     p, pts = inst.poly, inst.pts
+    n, k = pts.n, p.degree
     rows = []
-    if isinstance(p, HomogeneousPoly):
-        n, k = pts.n, p.degree
-        if n >= k + 2:
-            rows.append((VANISH_RANK, det_structured(p, pts).value))
-        if n == k + 1:
-            rows.append((BORDERLINE, det_borderline(p, pts).value))
-        if n <= k + 1:
-            s = support_subsets(p, n)
-            routes = (("CAUCHY_BINET_DIRECT", DIRECT), ("CAUCHY_BINET_H_ROUTE", H_ROUTE))
-            for label, mode in routes:
-                if s > CB_VERIFY_BUDGET:
-                    rows.append((label, f"SKIPPED ({s} subsets > {CB_VERIFY_BUDGET})"))
-                else:
-                    rows.append((label, det_cauchy_binet(p, pts, mode).value))
-    else:
-        n, k = pts.n, p.degree
-        if n >= k + 2:
-            rows.append((VANISH_RANK, pts.domain.zero))
-        if n == k + 1:
-            rows.append((SUM_FORM, det_sum_form(p, pts).value))
+    if n >= k + 1:
+        report = det_structured(p, pts)
+        rows.append((report.method, report.value))
+    if isinstance(p, HomogeneousPoly) and n <= k + 1:
+        s = support_subsets(p, n)
+        routes = (("CAUCHY_BINET_DIRECT", DIRECT), ("CAUCHY_BINET_H_ROUTE", H_ROUTE))
+        for label, mode in routes:
+            if s > CB_VERIFY_BUDGET:
+                rows.append((label, f"SKIPPED ({s} subsets > {CB_VERIFY_BUDGET})"))
+            else:
+                rows.append((label, det_cauchy_binet(p, pts, mode).value))
     rows.append((ORACLE, oracle_det(p, pts).value))
     return rows
 
@@ -223,10 +193,8 @@ def cmd_verify(args) -> int:
         transformed = PointVectors(
             [c * x for x in inst.pts.a], [d * x for x in inst.pts.b], inst.domain
         )
-        actual = bareiss_det(evaluation_matrix(inst.poly, transformed))
-        groups.append(
-            [("EQUIVARIANT_PREDICTED", predicted), ("TRANSFORMED_ORACLE", actual)]
-        )
+        actual = oracle_det(inst.poly, transformed).value
+        groups.append([("EQUIVARIANT_PREDICTED", predicted), ("TRANSFORMED_ORACLE", actual)])
 
     ok = True
     width = max(len(label) for g in groups for label, _ in g) + 2

@@ -1,11 +1,11 @@
 """Closed-form and expansion determinant engines for evaluation matrices.
 
 Every engine is cross-checkable against the Bareiss oracle. The size regime
-relative to the polynomial degree k decides the method: n >= k+2 vanishes by
-rank, n = k+1 factors into sign * coefficient product * two Vandermonde
-products, and n <= k expands as a column-subset minor sum when counting the
-subsets shows that to be cheaper than building A and eliminating, and falls
-back to the elimination oracle otherwise (see det_structured).
+relative to the degree k decides the method, for homogeneous polynomials and
+sum forms f(x+y) alike: n >= k+2 vanishes by rank, n = k+1 factors into sign *
+coefficient product * two Vandermonde products, and n <= k expands a
+homogeneous polynomial as a column-subset minor sum where that is cheaper than
+elimination, which answers everything else (see det_structured).
 """
 
 from __future__ import annotations
@@ -89,26 +89,26 @@ def oracle_det(p: HomogeneousPoly | UnivariatePoly, pts: PointVectors) -> DetRep
 
 
 def det_structured(
-    p: HomogeneousPoly, pts: PointVectors, minor_mode: str = DIRECT
+    p: HomogeneousPoly | UnivariatePoly, pts: PointVectors, minor_mode: str = DIRECT
 ) -> DetReport:
-    """Dispatch on the size regime: vanish (n >= k+2), borderline (n = k+1),
-    or, for n <= k, the cheaper of Cauchy-Binet and elimination.
+    """Dispatch on the size regime: vanish (n >= k+2), the closed form at
+    n = k+1 (det_sum_form for a sum form, det_borderline otherwise), or,
+    for n <= k, the cheaper of Cauchy-Binet and elimination.
 
-    The minor expansion costs two n x n eliminations per support subset,
-    about S*n^3 for S = support_subsets(p, n); building A and eliminating it
-    once costs about n^2(k+1) + n^3. Cauchy-Binet (with minor_mode) runs when
-    S*n <= k+1+n, which includes n = 1 and S = 0, where the support is
-    smaller than n and the empty sum gives 0 without building a matrix.
-    Otherwise oracle_det answers with the same value and method ORACLE.
+    The minor expansion costs about S*n^3 for S = support_subsets(p, n);
+    building A and eliminating it once costs about n^2(k+1) + n^3.
+    Cauchy-Binet (with minor_mode) runs when S*n <= k+1+n, which includes
+    n = 1 and S = 0, where the empty sum gives 0 without building a matrix.
+    Otherwise, and for a sum form at n <= k, oracle_det answers (ORACLE).
     """
     n, k = pts.n, p.degree
     if n >= k + 2:
         return DetReport(value=pts.domain.zero, method=VANISH_RANK)
     if n == k + 1:
-        return det_borderline(p, pts)
-    if support_subsets(p, n) * n <= k + 1 + n:
-        return det_cauchy_binet(p, pts, minor_mode)
-    return oracle_det(p, pts)
+        return det_sum_form(p, pts) if isinstance(p, UnivariatePoly) else det_borderline(p, pts)
+    if isinstance(p, UnivariatePoly) or support_subsets(p, n) * n > k + 1 + n:
+        return oracle_det(p, pts)
+    return det_cauchy_binet(p, pts, minor_mode)
 
 
 def support_subsets(p: HomogeneousPoly, n: int) -> int:

@@ -40,13 +40,24 @@ def powers(xs: list[int], ds: list[int], k: int, mod: int | None = None) -> list
     x_r/d_r scaled by d_r^k. Swapping xs and ds gives the ascending powers."""
     rows = []
     for x, d in zip(xs, ds):
-        up, down = [1], [1]
-        for _ in range(k):
-            up.append(up[-1] * x if mod is None else up[-1] * x % mod)
-            down.append(down[-1] * d if mod is None else down[-1] * d % mod)
-        row = [u * v for u, v in zip(reversed(up), down)]
-        rows.append(row if mod is None else [t % mod for t in row])
+        # a unit scale (every d_r over F_p, x = 1 in W) leaves one power list
+        if d == 1:
+            rows.append(_ladder(x, k, mod)[::-1])
+        elif x == 1:
+            rows.append(_ladder(d, k, mod))
+        else:
+            row = [u * v for u, v in zip(reversed(_ladder(x, k, mod)), _ladder(d, k, mod))]
+            rows.append(row if mod is None else [t % mod for t in row])
     return rows
+
+
+def _ladder(x: int, k: int, mod: int | None) -> list[int]:
+    """1, x, ..., x^k."""
+    out, t = [1], 1
+    for _ in range(k):
+        t = t * x if mod is None else t * x % mod
+        out.append(t)
+    return out
 
 
 def _slot_bytes(bound: int) -> int:

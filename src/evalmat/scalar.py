@@ -147,14 +147,15 @@ class FpElement:
         return FpElement(pow(self.value, -1, self.field.p), self.field)
 
     def __eq__(self, other):
+        # an int compares by value, not residue, so equal objects hash alike
         if isinstance(other, int):
-            return self.value == other % self.field.p
+            return self.value == other
         if isinstance(other, FpElement):
             return self.field.p == other.field.p and self.value == other.value
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.value, self.field.p))
+        return hash(self.value)
 
     def __bool__(self):
         return self.value != 0

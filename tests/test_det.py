@@ -565,3 +565,20 @@ def test_dispatch_support_smaller_than_n_builds_no_matrix(monkeypatch):
     p = HomogeneousPoly(5, [3, 0, 0, 0, 0, 7])
     rep = det_structured(p, PointVectors([1, 2, 3], [4, 5, 6]))
     assert rep.method == CAUCHY_BINET and rep.value == 0 and rep.subset_terms == ()
+
+
+@pytest.mark.parametrize("dom", [None, F101])
+def test_dispatch_sum_form_in_every_regime(dom):
+    f = UnivariatePoly([1, 2, 3], dom)
+    pts = PointVectors([0, 1, 2], [0, 1, 5], dom)
+    rep = det_structured(f, pts)
+    expected = -2160 if dom is None else dom.from_int(-2160)
+    assert rep.method == SUM_FORM and rep.value == oracle_det(f, pts).value == expected
+    for n in (4, 5):
+        big = PointVectors(range(n), range(3, 3 + n), dom)
+        rep = det_structured(f, big)
+        assert rep.method == VANISH_RANK and rep.value == 0 == oracle_det(f, big).value
+    for n in (1, 2):
+        small = PointVectors([2, 7][:n], [3, -4][:n], dom)
+        rep = det_structured(f, small)
+        assert rep.method == ORACLE and rep.value == oracle_det(f, small).value

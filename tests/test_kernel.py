@@ -143,3 +143,24 @@ def test_public_det_around_pack_min(kind, entries):
         assert value == closed
         assert entries(evaluation_matrix, poly, pts) == matrix
         assert entries(bareiss_det, matrix) == value
+
+
+@pytest.mark.parametrize("mod", [None, 101, 2**31 - 1])
+def test_powers_unit_and_general_scales(mod):
+    """Row r is x_r^(k-i) d_r^i; a unit scale on either side builds one
+    power list only, and must give the same rows as a general scale."""
+    rng = random.Random(11)
+    hi = 1000 if mod is None else mod
+    for k in range(6):
+        general = [rng.randrange(2, hi) for _ in range(4)]
+        for xs, ds in [
+            (general, [1] * 4),
+            ([1] * 4, general),
+            ([1] * 4, [1] * 4),
+            (general, general[::-1]),
+            ([0, 1, 5, 0], [1, 0, 3, 2]),
+        ]:
+            want = [[x ** (k - i) * d**i for i in range(k + 1)] for x, d in zip(xs, ds)]
+            if mod is not None:
+                want = [[t % mod for t in row] for row in want]
+            assert kernel.powers(xs, ds, k, mod) == want, (k, xs, ds)

@@ -172,3 +172,23 @@ def test_fp_immutability_and_hash():
         e.value = 5
     assert hash(F7.from_int(3)) == hash(F7.from_int(10))
     assert len({F7.from_int(i) for i in (1, 8, 2)}) == 2
+
+
+# ints and elements of two fields, with values that collide across them
+mixed_scalars = st.one_of(
+    st.integers(-20, 120),
+    st.integers(0, 6).map(F7.from_int),
+    st.integers(0, 100).map(F101.from_int),
+)
+
+
+@given(mixed_scalars, mixed_scalars)
+def test_fp_equal_objects_hash_alike(x, y):
+    if x == y:
+        assert hash(x) == hash(y)
+
+
+def test_fp_element_and_int_in_sets():
+    assert 3 in {F7.from_int(3)} and F7.from_int(3) in {3}
+    assert F7.from_int(3) == 3 and F7.from_int(3) != 10
+    assert len({F7.from_int(3), F101.from_int(3)}) == 2
