@@ -44,6 +44,7 @@ from .scalar import (
     format_scalar,
     parse_domain,
     parse_scalar,
+    parse_scalars,
 )
 
 EXIT_OK = 0
@@ -88,8 +89,8 @@ def load_instance(text: str) -> Instance:
     except (ValueError, TypeError, KeyError) as e:
         raise ValueError(f"field 'poly': {e}") from e
     try:
-        a = [parse_scalar(s, domain) for s in field("a")]
-        b = [parse_scalar(s, domain) for s in field("b")]
+        a = parse_scalars(field("a"), domain, "a")
+        b = parse_scalars(field("b"), domain, "b")
         pts = PointVectors(a, b, domain)
     except (ValueError, TypeError) as e:
         raise ValueError(f"field 'a'/'b': {e}") from e
@@ -97,7 +98,7 @@ def load_instance(text: str) -> Instance:
     raw_change = field("linear_change", required=False)
     if raw_change is not None:
         try:
-            vals = [parse_scalar(s, domain) for s in raw_change]
+            vals = parse_scalars(raw_change, domain, "linear_change")
             if len(vals) != 4:
                 raise ValueError("need exactly four scalars (alpha, beta, gamma, delta)")
             change = LinearChange(*vals)
@@ -181,15 +182,20 @@ def _engine_values(inst: Instance):
 
 def cmd_verify(args) -> int:
     inst = _read_instance(args)
-    rows = _engine_values(inst)
-    if args.expect is not None:
-        rows.append(("EXPECTED", parse_scalar(args.expect, inst.domain)))
-
-    groups = [rows]
+    # every input check (--expect, linear_change) comes before any engine runs
+    expected = None if args.expect is None else parse_scalar(args.expect, inst.domain)
+    prediction = None
     if inst.linear_change is not None:
         if not isinstance(inst.poly, UnivariatePoly):
             raise ValueError("linear_change applies to sum_form polynomials only")
-        c, d, predicted = predict_equivariant_det(inst.poly, inst.linear_change, inst.pts)
+        prediction = predict_equivariant_det(inst.poly, inst.linear_change, inst.pts)
+    rows = _engine_values(inst)
+    if expected is not None:
+        rows.append(("EXPECTED", expected))
+
+    groups = [rows]
+    if prediction is not None:
+        c, d, predicted = prediction
         transformed = PointVectors(
             [c * x for x in inst.pts.a], [d * x for x in inst.pts.b], inst.domain
         )
@@ -265,6 +271,8 @@ def cmd_bench(args) -> int:
     if any(n < 1 for n in sizes):
         raise ValueError("bench sizes must be >= 1")
     domain = parse_domain(args.domain)
+    if args.trials < 1:
+        raise ValueError(f"bench --trials must be >= 1, got {args.trials}")
     records = bench_mod.run_bench(sizes, domain, args.trials, _resolve_seed(args))
     print(bench_mod.CSV_HEADER)
     for rec in records:

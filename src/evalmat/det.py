@@ -19,8 +19,9 @@ from . import kernel
 from .matrix import (
     PointVectors,
     bareiss_det,
-    evaluation_matrix,
+    evaluation_image,
     pascal_core,
+    power_image,
     vandermonde_product,
 )
 from .poly import HomogeneousPoly, UnivariatePoly
@@ -84,8 +85,9 @@ class LinearChange:
 
 
 def oracle_det(p: HomogeneousPoly | UnivariatePoly, pts: PointVectors) -> DetReport:
-    """Brute-force determinant of the evaluation matrix (the independent check)."""
-    return DetReport(value=bareiss_det(evaluation_matrix(p, pts)), method=ORACLE)
+    """Brute-force determinant of A (the independent check): its integer image, eliminated."""
+    rows, row_den, col_den, dom = evaluation_image(p, pts)
+    return DetReport(dom.ratio(kernel.det(rows, dom.modulus), math.prod(row_den + col_den)), ORACLE)
 
 
 def det_structured(
@@ -173,12 +175,9 @@ def det_cauchy_binet(
     subsets = list(itertools.combinations([i for i, ci in enumerate(c) if ci], n))
     minors = []
     if minor_mode == DIRECT:
-        # minors of the scaled power rows: denominator E^n prod d_r^k prod e_s^k
-        na, da = dom.parts(pts.a)
-        nb, db = dom.parts(pts.b)
-        v = kernel.powers(na, da, k, mod)
-        w = kernel.powers(db, nb, k, mod)
-        den = e**n * math.prod(x**k for x in da + db)
+        v, v_den = power_image(pts.a, k, dom, descending=True)
+        w, w_den = power_image(pts.b, k, dom)
+        den = e**n * math.prod(v_den + w_den)
         for subset in subsets:
             mv = kernel.det([[row[i] for i in subset] for row in v], mod)
             mw = kernel.det([[row[i] for i in subset] for row in w], mod)

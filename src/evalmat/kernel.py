@@ -1,11 +1,14 @@
 """Integer kernels behind every engine.
 
 Every function takes plain int lists and ``mod``: None for exact arithmetic
-over Z, a prime p for F_p (inputs and results in [0, p)). Callers lift their
-scalars to ints with a scale, call a kernel, and wrap the result in
-Fraction/FpElement on return. Over F_p the scale is 1. Over Q each point
-keeps its own denominator, a_r = A_r/d_r, so V = [a_r^(k-i)] is ``powers``'
-row (A_r^k, A_r^(k-1) d_r, ..., d_r^k) over d_r^k, W likewise over e_s^k,
+over Z, a prime p for F_p (inputs and results in [0, p)). The engines stay
+on this integer image: they build a matrix as int rows with its row and
+column denominators and divide once by their product at the end.
+Fraction/FpElement, and the DenseMatrix that holds them, appear only at the
+API edge, where a caller passes scalars in or takes a matrix or value back.
+Over F_p every denominator is 1. Over Q each point keeps its own
+denominator, a_r = A_r/d_r, so V = [a_r^(k-i)] is ``powers``' row
+(A_r^k, A_r^(k-1) d_r, ..., d_r^k) over d_r^k, W likewise over e_s^k,
 and A = V D_alpha W^T has entries (V D_c W^T)[r][s] / (E d_r^k e_s^k) for
 coefficients c_i/E. The symmetric functions (Vandermonde product, H_m) take
 a vector over its common denominator D instead: H_m(X/D) = H_m(X) / D^m.

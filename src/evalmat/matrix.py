@@ -1,8 +1,12 @@
-"""Dense exact matrices, structured builders, and the determinant oracle.
+"""Dense exact matrices, structured builders, and their integer images.
 
-``DenseMatrix`` holds ``Fraction``/``FpElement`` entries; every builder and
-eliminator here lifts them to integers, runs the matching function of
-``kernel``, and wraps the result back into scalars on return.
+``DenseMatrix`` holds ``Fraction``/``FpElement`` entries and is the API
+type: what a caller passes in or gets back. The engines consume the integer
+image instead: ``evaluation_image`` and ``power_image`` build the kernel's
+integer rows with their per-row and per-column denominators, and the engines
+eliminate those rows with one division at the end. The ``DenseMatrix``
+builders here wrap an image in scalars only on return, and ``bareiss_det``
+lifts a given ``DenseMatrix`` back to integers for the kernel.
 """
 
 from __future__ import annotations
@@ -124,12 +128,24 @@ def _wrap(rows: list[list[int]], row_den, col_den, dom: ScalarDomain) -> DenseMa
     )
 
 
-def evaluation_matrix(p: HomogeneousPoly | UnivariatePoly, pts: PointVectors) -> DenseMatrix:
-    """The n x n matrix [p(a_r, b_s)], or [f(a_r + b_s)] for sum-form f.
+def power_image(xs: Sequence, k: int, dom: ScalarDomain, descending: bool = False):
+    """The powers x_r^0, ..., x_r^k of each x_r = n_r / d_r (x_r^k first if
+    descending) as integer rows over d_r^k: (rows, dens) with
+    x_r^i = rows[r][i] / dens[r]. Over F_p every d_r is 1."""
+    nums, dens = dom.parts(xs)
+    mod = dom.modulus
+    rows = kernel.powers(nums, dens, k, mod) if descending else kernel.powers(dens, nums, k, mod)
+    return rows, [d**k for d in dens]
 
-    Homogeneous p is built as the integer product V * D_c * W^T of the
-    kernel's scaled power rows; the sum form runs Horner in a_r + b_s over
-    one common point denominator D, with c_i D^(deg-i) folded in once.
+
+def evaluation_image(p: HomogeneousPoly | UnivariatePoly, pts: PointVectors):
+    """The integer image of the evaluation matrix: (rows, row_den, col_den,
+    domain) with A[r][s] = rows[r][s] / (row_den[r] * col_den[s]).
+
+    Homogeneous p is the integer product V * D_c * W^T of power_image's rows
+    of a (descending) and b (ascending), over E * d_r^k and e_s^k for
+    coefficients c_i / E; the sum form runs Horner in a_r + b_s over one
+    common point denominator D, with c_i D^(deg-i) folded in once.
     """
     dom = shared_domain(p, pts)
     mod = dom.modulus
@@ -139,12 +155,15 @@ def evaluation_matrix(p: HomogeneousPoly | UnivariatePoly, pts: PointVectors) ->
         xs, d = dom.lift(pts.a + pts.b)
         folded = [ci * d ** (m - i) for i, ci in enumerate(c)]
         rows = kernel.sum_form(folded, xs[: pts.n], xs[pts.n :], mod)
-        return _wrap(rows, [e * d**m] * pts.n, [1] * pts.n, dom)
-    k = p.degree
-    na, da = dom.parts(pts.a)
-    nb, db = dom.parts(pts.b)
-    rows = kernel.product(kernel.powers(na, da, k, mod), c, kernel.powers(db, nb, k, mod), mod)
-    return _wrap(rows, [e * x**k for x in da], [x**k for x in db], dom)
+        return rows, [e * d**m] * pts.n, [1] * pts.n, dom
+    v, v_den = power_image(pts.a, p.degree, dom, descending=True)
+    w, w_den = power_image(pts.b, p.degree, dom)
+    return kernel.product(v, c, w, mod), [e * x for x in v_den], w_den, dom
+
+
+def evaluation_matrix(p: HomogeneousPoly | UnivariatePoly, pts: PointVectors) -> DenseMatrix:
+    """The n x n matrix [p(a_r, b_s)], or [f(a_r + b_s)] for sum-form f."""
+    return _wrap(*evaluation_image(p, pts))
 
 
 def vandermonde_desc(a: Sequence, k: int, domain: ScalarDomain | None = None) -> DenseMatrix:
@@ -156,9 +175,8 @@ def vandermonde_desc(a: Sequence, k: int, domain: ScalarDomain | None = None) ->
 def vandermonde_asc(b: Sequence, k: int, domain: ScalarDomain | None = None) -> DenseMatrix:
     """n x (k+1) matrix with row s = (b_s^0, b_s^1, ..., b_s^k)."""
     dom, vals = normalize_scalars(b, domain)
-    nums, dens = dom.parts(vals)
-    rows = kernel.powers(dens, nums, k, dom.modulus)
-    return _wrap(rows, [d**k for d in dens], [1] * (k + 1), dom)
+    rows, dens = power_image(vals, k, dom)
+    return _wrap(rows, dens, [1] * (k + 1), dom)
 
 
 def factorization_parts(p: HomogeneousPoly, pts: PointVectors):

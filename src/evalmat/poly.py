@@ -14,7 +14,7 @@ from .scalar import (
     domain_of,
     format_scalar,
     normalize_scalars,
-    parse_scalar,
+    parse_scalars,
 )
 
 
@@ -29,6 +29,8 @@ class HomogeneousPoly:
     __slots__ = ("degree", "coeffs", "domain")
 
     def __init__(self, degree: int, coeffs: Sequence, domain: ScalarDomain | None = None):
+        if not isinstance(degree, int) or isinstance(degree, bool):
+            raise TypeError(f"degree must be an integer, got {degree!r}")
         if degree < 0:
             raise ValueError("degree must be non-negative")
         dom, vals = normalize_scalars(coeffs, domain)
@@ -192,8 +194,10 @@ def poly_to_json(p: HomogeneousPoly | UnivariatePoly) -> dict:
 
 
 def poly_from_json(obj: dict, domain: ScalarDomain) -> HomogeneousPoly | UnivariatePoly:
+    if not isinstance(obj, dict):
+        raise TypeError(f"must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
-    coeffs = [parse_scalar(s, domain) for s in obj["coeffs"]]
+    coeffs = parse_scalars(obj["coeffs"], domain, "coeffs")
     if kind == "homogeneous":
         return HomogeneousPoly(obj["degree"], coeffs, domain)
     if kind == "sum_form":

@@ -258,6 +258,8 @@ ScalarDomain = Union[RationalDomain, PrimeField]
 
 def parse_domain(text: str) -> ScalarDomain:
     """Parse a domain string: "rational" or "fp:<p>"."""
+    if not isinstance(text, str):
+        raise TypeError(f"must be a string, got {type(text).__name__}")
     if text == "rational":
         return RATIONAL
     if text.startswith("fp:"):
@@ -361,3 +363,11 @@ def parse_scalar(s: str, domain: ScalarDomain) -> Scalar:
         return Fraction(s) if domain.modulus is None else FpElement(int(s), domain)
     num = _digits_int(m[2])
     return domain.ratio(-num if m[1] == "-" else num, _digits_int(m[3] or "1"))
+
+
+def parse_scalars(items: list, domain: ScalarDomain, name: str) -> list:
+    """parse_scalar over the JSON array named name; any other value (a string
+    included, which would otherwise be read digit by digit) is a TypeError."""
+    if not isinstance(items, list):
+        raise TypeError(f"'{name}' must be a JSON array, got {type(items).__name__}")
+    return [parse_scalar(s, domain) for s in items]

@@ -298,9 +298,15 @@ def test_unknown_domain_exit_2():
 
 def run_main(monkeypatch, capsys, args, stdin=""):
     """main() in this process, as perfbench drives it: (exit code, stdout)."""
+    return run_main_full(monkeypatch, capsys, args, stdin)[:2]
+
+
+def run_main_full(monkeypatch, capsys, args, stdin=""):
+    """main() in this process: (exit code, stdout, stderr)."""
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     code = main(args)
-    return code, capsys.readouterr().out
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 N2_K2_INSTANCE = json.dumps(
@@ -409,3 +415,86 @@ def test_main_runs_handler_replaced_on_module(monkeypatch, capsys):
     run_main(monkeypatch, capsys, ["det"], N2_K2_INSTANCE)
     monkeypatch.setattr(cli, "cmd_det", lambda args: 7)
     assert main(["det"]) == 7
+
+
+SQUARE = {"kind": "sum_form", "coeffs": ["0", "0", "1"]}
+
+
+@pytest.mark.parametrize(
+    "poly, points, change, exit_code, message",
+    [
+        (
+            {"kind": "homogeneous", "degree": 2, "coeffs": ["1", "2", "1"]},
+            ["0", "1", "2"],
+            ["1", "0", "1", "1"],
+            2,
+            "linear_change applies to sum_form polynomials only",
+        ),
+        (SQUARE, ["0", "1", "2"], ["1", "2", "2", "4"], 2, "change of variables has det B = 0"),
+        (SQUARE, ["0", "1"], ["1", "0", "1", "1"], 3, "sum form needs n = deg f + 1, got n=2, deg=2"),
+    ],
+    ids=["homogeneous", "singular", "size"],
+)
+def test_verify_checks_linear_change_before_any_engine(
+    monkeypatch, capsys, poly, points, change, exit_code, message
+):
+    import evalmat.det as det_mod
+
+    def no_engine(*args):
+        raise AssertionError("an engine ran")
+
+    # the oracle runs in every verify, directly and through det_structured
+    monkeypatch.setattr(cli, "oracle_det", no_engine)
+    monkeypatch.setattr(det_mod, "oracle_det", no_engine)
+    inst = {"domain": "rational", "poly": poly, "a": points, "b": points, "linear_change": change}
+    code, out, err = run_main_full(monkeypatch, capsys, ["verify"], json.dumps(inst))
+    assert (code, out) == (exit_code, "")
+    assert err == f"error: {message}\n"
+
+
+INSTANCE = {
+    "domain": "rational",
+    "poly": {"kind": "homogeneous", "degree": 1, "coeffs": ["1", "2"]},
+    "a": ["1", "2"],
+    "b": ["3", "4"],
+}
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("poly", "degree"), 1.0, "field 'poly': degree must be an integer, got 1.0"),
+        (("poly", "degree"), True, "field 'poly': degree must be an integer, got True"),
+        (("poly",), [1, 2], "field 'poly': must be a JSON object, got list"),
+        (("poly",), "x", "field 'poly': must be a JSON object, got str"),
+        (("domain",), 5, "field 'domain': must be a string, got int"),
+        (("a",), "12", "field 'a'/'b': 'a' must be a JSON array, got str"),
+        (("poly", "coeffs"), "12", "field 'poly': 'coeffs' must be a JSON array, got str"),
+        (("linear_change",), "1234", "field 'linear_change': 'linear_change' must be a JSON array, got str"),
+    ],
+    ids=["degree-float", "degree-bool", "poly-list", "poly-str", "domain-int", "a-str", "coeffs-str", "change-str"],
+)
+def test_wrongly_typed_field_exit_2(monkeypatch, capsys, path, value, message):
+    # a wrong JSON type must not reach an engine (a traceback, exit 1) or be read digit by digit
+    inst = json.loads(json.dumps(INSTANCE))
+    target = inst
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    for command in ("det", "verify", "matrix"):
+        code, out, err = run_main_full(monkeypatch, capsys, [command], json.dumps(inst))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_bench_trials_below_one_exit_2(monkeypatch, capsys):
+    import evalmat.bench as bench_mod
+
+    def no_run(*args):
+        raise AssertionError("bench ran")
+
+    monkeypatch.setattr(bench_mod, "run_bench", no_run)
+    for trials in ("0", "-2"):
+        args = ["bench", "--sizes", "3", "--trials", trials, "--seed", "1"]
+        code, out, err = run_main_full(monkeypatch, capsys, args)
+        assert (code, out) == (2, "")
+        assert err == f"error: bench --trials must be >= 1, got {trials}\n"

@@ -46,7 +46,9 @@ from evalmat.poly import (
     alternating_poly,
     sum_power_poly,
 )
-from evalmat.scalar import PrimeField, SingularChangeError, SizeMismatchError, binomial
+from evalmat.scalar import RATIONAL, PrimeField, SingularChangeError, SizeMismatchError, binomial
+
+from oracles import leibniz_det
 
 F101 = PrimeField(101)
 
@@ -561,7 +563,8 @@ def test_dispatch_support_smaller_than_n_builds_no_matrix(monkeypatch):
     def no_matrix(*args):
         raise AssertionError("built a matrix")
 
-    monkeypatch.setattr(det_mod, "evaluation_matrix", no_matrix)
+    # the oracle's builder; Cauchy-Binet DIRECT takes only the power rows
+    monkeypatch.setattr(det_mod, "evaluation_image", no_matrix)
     p = HomogeneousPoly(5, [3, 0, 0, 0, 0, 7])
     rep = det_structured(p, PointVectors([1, 2, 3], [4, 5, 6]))
     assert rep.method == CAUCHY_BINET and rep.value == 0 and rep.subset_terms == ()
@@ -582,3 +585,81 @@ def test_dispatch_sum_form_in_every_regime(dom):
         small = PointVectors([2, 7][:n], [3, -4][:n], dom)
         rep = det_structured(f, small)
         assert rep.method == ORACLE and rep.value == oracle_det(f, small).value
+
+
+# ------------------------------------------- oracle on the integer image
+def _oracle_scalars(dom):
+    if dom is None:
+        # num/den points with distinct denominators, zeros and repeats
+        fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 9))
+        return st.one_of(st.just(Fraction(0)), fractions)
+    return st.integers(0, dom.p - 1).map(dom.from_int)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([None, None, PrimeField(2), PrimeField(3), F101]), st.data())
+def test_oracle_matches_leibniz_on_evaluated_entries(field, data):
+    n = data.draw(st.integers(1, 5))
+    k = data.draw(st.integers(0, 6))
+
+    def vec(size):
+        return data.draw(st.lists(_oracle_scalars(field), min_size=size, max_size=size))
+
+    coeffs = vec(k + 1)
+    a = vec(n)
+    b = data.draw(st.sampled_from([a, a[::-1], vec(n)]))  # shared points repeat across a, b
+    pts = PointVectors(a, b, field)
+    p = HomogeneousPoly(k, coeffs, field)
+    entries = [[p.evaluate(x, y) for y in pts.b] for x in pts.a]
+    assert oracle_det(p, pts).value == leibniz_det(entries)
+    f = UnivariatePoly(coeffs, field)
+    entries = [[f.evaluate(x + y) for y in pts.b] for x in pts.a]
+    assert oracle_det(f, pts).value == leibniz_det(entries)
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(2**31 - 1)])
+@pytest.mark.parametrize("n", [15, 16, 18, 20])
+def test_oracle_matches_bareiss_of_evaluation_matrix(field, n):
+    # both sides of kernel.PACK_MIN = 16, borderline and n <= k; distinct
+    # points and nonzero coefficients keep every determinant nonzero
+    rng = random.Random(1000 + n)
+    dom = field or RATIONAL
+
+    def vec(size):
+        out = set()
+        while len(out) < size:
+            x = rng.randrange(1, 100) * rng.choice([-1, 1])
+            out.add(Fraction(x, rng.randrange(1, 12)) if field is None else dom.from_int(x))
+        return rng.sample(sorted(out, key=str), size)
+
+    pts = PointVectors(vec(n), vec(n), dom)
+    for k in (n - 1, n + 3):
+        for p in (HomogeneousPoly(k, vec(k + 1), dom), UnivariatePoly(vec(k + 1), dom)):
+            value = oracle_det(p, pts).value
+            assert value == bareiss_det(evaluation_matrix(p, pts)) and value != 0
+
+
+def test_oracle_builds_no_dense_matrix(monkeypatch):
+    import evalmat.matrix as matrix_mod
+
+    cases = []
+    for field, a, b in (
+        (None, [Fraction(1, 2), 3, Fraction(-2, 7)], [4, Fraction(-5, 3), 7]),
+        (F101, [1, 5, 60], [2, 9, 33]),
+    ):
+        pts = PointVectors(a, b, field)
+        polys = (
+            HomogeneousPoly(2, [1, 2, 3], field),
+            HomogeneousPoly(4, [1, 0, 2, 5, 3], field),
+            UnivariatePoly([1, 2, 3], field),
+            UnivariatePoly([1, -1, 2, 0, 5], field),
+        )
+        cases += [(p, pts, bareiss_det(evaluation_matrix(p, pts))) for p in polys]
+
+    def no_scalars(*args, **kwargs):
+        raise AssertionError("built per-entry scalars")
+
+    monkeypatch.setattr(matrix_mod, "_wrap", no_scalars)
+    monkeypatch.setattr(DenseMatrix, "__init__", no_scalars)
+    for p, pts, expected in cases:
+        assert oracle_det(p, pts).value == expected
