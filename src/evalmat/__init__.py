@@ -2,8 +2,9 @@
 
 Builds the n x n matrix [p(a_r, b_s)] for homogeneous p (or [f(a_r + b_s)]
 for sum-form f) over arbitrary-precision rationals or a prime field, and
-computes its determinant by closed forms, minor expansions, and a
-fraction-free elimination oracle that cross-checks everything.
+computes its determinant by closed forms, minor expansions, and an
+elimination oracle that cross-checks everything (fraction-free, or over
+Q from kernel.MULTIMODULAR_MIN rows on modulo primes joined by CRT).
 """
 
 from .scalar import (

@@ -94,6 +94,8 @@ def load_instance(text: str) -> Instance:
         pts = PointVectors(a, b, domain)
     except (ValueError, TypeError) as e:
         raise ValueError(f"field 'a'/'b': {e}") from e
+    if pts.n == 0:
+        raise SizeMismatchError("need at least one evaluation point")
     change = None
     raw_change = field("linear_change", required=False)
     if raw_change is not None:

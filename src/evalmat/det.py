@@ -1,6 +1,6 @@
 """Closed-form and expansion determinant engines for evaluation matrices.
 
-Every engine is cross-checkable against the Bareiss oracle. The size regime
+Every engine is cross-checkable against the elimination oracle. The size regime
 relative to the degree k decides the method, for homogeneous polynomials and
 sum forms f(x+y) alike: n >= k+2 vanishes by rank, n = k+1 factors into sign *
 coefficient product * two Vandermonde products, and n <= k expands a
@@ -85,9 +85,14 @@ class LinearChange:
 
 
 def oracle_det(p: HomogeneousPoly | UnivariatePoly, pts: PointVectors) -> DetReport:
-    """Brute-force determinant of A (the independent check): its integer image, eliminated."""
+    """Brute-force determinant of A (the independent check): its integer
+    image, eliminated; over Z by CRT from kernel.MULTIMODULAR_MIN rows on."""
     rows, row_den, col_den, dom = evaluation_image(p, pts)
-    return DetReport(dom.ratio(kernel.det(rows, dom.modulus), math.prod(row_den + col_den)), ORACLE)
+    if dom.modulus is None and len(rows) >= kernel.MULTIMODULAR_MIN:
+        num = kernel.det_multimodular(rows)
+    else:
+        num = kernel.det(rows, dom.modulus)
+    return DetReport(dom.ratio(num, math.prod(row_den + col_den)), ORACLE)
 
 
 def det_structured(
@@ -152,14 +157,14 @@ def det_cauchy_binet(
 
         det A = sum_I det(V(:,I)) * prod_{i in I} alpha_i * det(W(:,I)).
 
-    DIRECT evaluates the minors by elimination. H_ROUTE extracts the
-    Vandermonde product of the points and evaluates the remaining factor as
-    a Jacobi-Trudi determinant in the complete homogeneous polynomials
-    (see schur_minor); W's ascending exponents are reversed to descending,
-    whose (-1)^C(n,2) cost cancels the descending minor's own sign. Only
-    subsets inside the support of the coefficients are enumerated, in
-    lexicographic order. Both routes run on the kernel's integer lift and
-    wrap each term over one shared denominator.
+    DIRECT evaluates the minors by elimination, V's on its exponents in
+    ascending order. H_ROUTE extracts the Vandermonde product of the points
+    and evaluates the remaining factor as a Jacobi-Trudi determinant in the
+    complete homogeneous polynomials (see schur_minor); W's ascending
+    exponents are reversed to descending, whose (-1)^C(n,2) cost cancels the
+    descending minor's own sign. Only subsets inside the support of the
+    coefficients are enumerated, in lexicographic order. Both routes run on
+    the kernel's integer lift and wrap each term over one shared denominator.
     """
     n, k = pts.n, p.degree
     if n > k + 1:
@@ -173,15 +178,21 @@ def det_cauchy_binet(
     mod = dom.modulus
     c, e = dom.lift(p.coeffs)
     subsets = list(itertools.combinations([i for i, ci in enumerate(c) if ci], n))
+    # reversing the n columns of a minor multiplies it by (-1)^C(n,2)
+    sign = -1 if binomial(n, 2) % 2 else 1
     minors = []
     if minor_mode == DIRECT:
-        v, v_den = power_image(pts.a, k, dom, descending=True)
+        # V's minor on columns I has the exponents k - i, i in I, descending;
+        # it is eliminated on the same exponents ascending (W's order), since
+        # Bareiss' leading minors then stay ordinary Vandermondes of low
+        # degree, and the column reversal costs the sign
+        v, v_den = power_image(pts.a, k, dom)
         w, w_den = power_image(pts.b, k, dom)
         den = e**n * math.prod(v_den + w_den)
         for subset in subsets:
-            mv = kernel.det([[row[i] for i in subset] for row in v], mod)
+            mv = kernel.det([[row[k - i] for i in reversed(subset)] for row in v], mod)
             mw = kernel.det([[row[i] for i in subset] for row in w], mod)
-            minors.append(mv * mw)
+            minors.append(sign * mv * mw)
     else:
         # a descending-exponent minor is prod_{r<r'}(x_r - x_{r'}) * s_lam,
         # i.e. (-1)^C(n,2) times the ascending Vandermonde product; W's
@@ -191,8 +202,7 @@ def det_cauchy_binet(
         xb, gb = dom.lift(pts.b)
         h_a = kernel.h_table(xa, k, mod)
         h_b = kernel.h_table(xb, k, mod)
-        sign_v = -1 if binomial(n, 2) % 2 else 1
-        scale = sign_v * kernel.vandermonde(xa, mod) * kernel.vandermonde(xb, mod)
+        scale = sign * kernel.vandermonde(xa, mod) * kernel.vandermonde(xb, mod)
         den = e**n * (ga * gb) ** (n * k)
         for subset in subsets:
             s = sum(subset)

@@ -27,15 +27,39 @@ every slot. Packing and unpacking cost a few interpreted operations per
 entry, which an n x n matrix pays back only from about PACK_MIN rows on;
 below that (the Cauchy-Binet minors, the ffprob trials) the entry-by-entry
 code runs, and it stays the reference the packed code is tested against.
+
+Multimodular determinant over Z. Bareiss' intermediate integers are the
+leading minors of the matrix, so its cost follows their size, not only
+that of the result. ``det_multimodular`` instead takes det mod 62-bit
+primes p_1 > p_2 > ... (downward from 2^62, found on first use) with the
+F_p ``det`` and joins the residues by incremental CRT: x += M ((r_i - x) /
+M mod p_i), M *= p_i. It stops once M exceeds 2H, for H the smaller of the
+row and column Hadamard bounds (the products of the row or column
+Euclidean norms) >= |det|, and returns the residue of x in (-M/2, M/2].
+The result is exact and deterministic: every prime up to the bound is
+used, and none is skipped on an early agreement. Its cost follows H, so
+it pays only where Bareiss' leading minors grow: on the evaluation matrix
+A from about MULTIMODULAR_MIN rows on (n = 29, 20-bit points: about 470
+against 850 ms), which is why only the oracle uses it. W's ascending
+powers and the unitriangular Jacobi-Trudi matrices keep Bareiss' minors
+small while H stays large: at n = 29, W took 75 ms by Bareiss against
+250 ms by CRT, and the Jacobi-Trudi matrix 1.6 against 153 ms.
 """
 
 from __future__ import annotations
 
+import math
 from operator import mul
+
+from .scalar import is_prime
 
 # the F_p kernels pack rows from this many rows (and columns) on; see the
 # crossover table in CHANGES.md
 PACK_MIN = 16
+
+# oracle_det eliminates integer images over Z by det_multimodular from this
+# many rows on, and by Bareiss below; see the crossover table in CHANGES.md
+MULTIMODULAR_MIN = 24
 
 
 def powers(xs: list[int], ds: list[int], k: int, mod: int | None = None) -> list[list[int]]:
@@ -244,3 +268,37 @@ def det(a: list[list[int]], mod: int | None = None) -> int:
     """Determinant of a square matrix; consumes a."""
     rank, d = echelon(a, mod)
     return d if rank == len(a) else 0
+
+
+# det_multimodular's primes, descending from 2^62; found on first use, never
+# at import, and kept for the life of the process
+PRIMES: list[int] = []
+
+
+def _prime(i: int) -> int:
+    """The i-th prime below 2^62, counting down from the largest."""
+    while len(PRIMES) <= i:
+        q = PRIMES[-1] - 2 if PRIMES else (1 << 62) - 1
+        while not is_prime(q):
+            q -= 2
+        PRIMES.append(q)
+    return PRIMES[i]
+
+
+def det_multimodular(a: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by CRT over det mod p_i; a is
+    left as it is. It takes primes until their product M exceeds twice the
+    Hadamard bound H >= |det|, so the symmetric residue mod M is det itself."""
+    bound_sq = min(
+        math.prod(sum(map(mul, row, row)) for row in a),
+        math.prod(sum(map(mul, col, col)) for col in zip(*a)),
+    )
+    limit = math.isqrt(4 * bound_sq)  # M > limit  <=>  M > 2 H for integer M
+    x, m, i = 0, 1, 0
+    while m <= limit:
+        p = _prime(i)
+        r = det([[v % p for v in row] for row in a], p)
+        x += m * ((r - x % p) * pow(m % p, -1, p) % p)
+        m *= p
+        i += 1
+    return x - m if 2 * x > m else x

@@ -366,8 +366,16 @@ def parse_scalar(s: str, domain: ScalarDomain) -> Scalar:
 
 
 def parse_scalars(items: list, domain: ScalarDomain, name: str) -> list:
-    """parse_scalar over the JSON array named name; any other value (a string
-    included, which would otherwise be read digit by digit) is a TypeError."""
+    """parse_scalar over the JSON array named name, whose items are decimal
+    strings; any other array or item (a JSON number, whose float would lose
+    digits, or a string for the array, which would be read digit by digit)
+    is a TypeError."""
     if not isinstance(items, list):
         raise TypeError(f"'{name}' must be a JSON array, got {type(items).__name__}")
+    for i, s in enumerate(items):
+        if not isinstance(s, str):
+            raise TypeError(
+                f"'{name}'[{i}]: scalars are decimal strings such as \"3\" or "
+                f"\"-2/5\", got {type(s).__name__}"
+            )
     return [parse_scalar(s, domain) for s in items]

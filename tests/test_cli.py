@@ -498,3 +498,34 @@ def test_bench_trials_below_one_exit_2(monkeypatch, capsys):
         code, out, err = run_main_full(monkeypatch, capsys, args)
         assert (code, out) == (2, "")
         assert err == f"error: bench --trials must be >= 1, got {trials}\n"
+
+
+@pytest.mark.parametrize("poly", [INSTANCE["poly"], SQUARE], ids=["homogeneous", "sum_form"])
+def test_no_points_exit_3_in_every_command(monkeypatch, capsys, poly):
+    inst = json.dumps({"domain": "rational", "poly": poly, "a": [], "b": []})
+    for args in (["det"], ["det", "--method", "oracle"], ["verify"], ["matrix"]):
+        code, out, err = run_main_full(monkeypatch, capsys, args, inst)
+        assert (code, out, err) == (3, "", "error: need at least one evaluation point\n"), args
+
+
+@pytest.mark.parametrize(
+    "path, value, where",
+    [
+        (("a",), ["1", 2], "field 'a'/'b': 'a'[1]: ... got int"),
+        (("b",), [3.5, "4"], "field 'a'/'b': 'b'[0]: ... got float"),
+        (("poly", "coeffs"), ["1", True], "field 'poly': 'coeffs'[1]: ... got bool"),
+        (("linear_change",), ["1", "0", ["1"], "1"], "field 'linear_change': 'linear_change'[2]: ... got list"),
+    ],
+    ids=["int", "float", "bool", "nested-list"],
+)
+def test_scalar_as_json_number_exit_2(monkeypatch, capsys, path, value, where):
+    # was `object of type 'int' has no len()`, which does not say what a scalar is
+    inst = json.loads(json.dumps(INSTANCE))
+    target = inst
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    message = where.replace("...", 'scalars are decimal strings such as "3" or "-2/5",')
+    for command in ("det", "verify", "matrix"):
+        code, out, err = run_main_full(monkeypatch, capsys, [command], json.dumps(inst))
+        assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -663,3 +663,57 @@ def test_oracle_builds_no_dense_matrix(monkeypatch):
     monkeypatch.setattr(DenseMatrix, "__init__", no_scalars)
     for p, pts, expected in cases:
         assert oracle_det(p, pts).value == expected
+
+
+@pytest.mark.parametrize("n", range(22, 31))
+def test_oracle_over_q_matches_bareiss_around_multimodular_min(monkeypatch, n):
+    # from kernel.MULTIMODULAR_MIN rows on the oracle runs the CRT route;
+    # n cycles through both kinds and through integer and num/den points
+    import evalmat.kernel as kernel_mod
+
+    calls = []
+    crt = kernel_mod.det_multimodular
+    monkeypatch.setattr(kernel_mod, "det_multimodular", lambda a: calls.append(a) or crt(a))
+    rng = random.Random(2000 + n)
+    den = 1 if n // 2 % 2 else 6
+
+    def vec(size):
+        out = set()
+        while len(out) < size:
+            num = rng.randrange(1, 40) * rng.choice([-1, 1])
+            out.add(Fraction(num, rng.randrange(1, den + 1)))
+        return rng.sample(sorted(out), size)
+
+    pts = PointVectors(vec(n), vec(n))
+    k = n - 1 if n % 3 else n + 2
+    p = HomogeneousPoly(k, vec(k + 1)) if n % 2 else UnivariatePoly(vec(k + 1))
+    value = oracle_det(p, pts).value
+    assert value == bareiss_det(evaluation_matrix(p, pts)) and value != 0
+    assert len(calls) == (n >= kernel_mod.MULTIMODULAR_MIN)
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(2), PrimeField(3), PrimeField(2**31 - 1)])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_direct_minor_terms_are_descending_minors(field, n):
+    # DIRECT eliminates V's minors on ascending exponents and applies
+    # (-1)^C(n,2); n = 1..7 covers every n mod 4. Each term must still be
+    # det V(:,I) * prod alpha_I * det W(:,I) with V's exponents descending
+    rng = random.Random(n)
+    dom = field or RATIONAL
+    k = n + 1
+
+    def vec(size):
+        if field is None:
+            return [Fraction(rng.randrange(-20, 21), rng.randrange(1, 8)) for _ in range(size)]
+        return [dom.from_int(rng.randrange(dom.p)) for _ in range(size)]
+
+    a, b = vec(n), vec(n)
+    a[-1] = a[0]  # a repeated point zeroes every V minor when n >= 2
+    for pts in (PointVectors(a, b, dom), PointVectors(b, b[::-1], dom)):
+        p = HomogeneousPoly(k, vec(k + 1), dom)
+        v, w = vandermonde_desc(pts.a, k, dom), vandermonde_asc(pts.b, k, dom)
+        report = det_cauchy_binet(p, pts, DIRECT)
+        for subset, term in report.subset_terms:
+            alpha = math.prod((p.coeffs[i] for i in subset), start=dom.one)
+            assert term == minor_det(v, subset) * alpha * minor_det(w, subset)
+        assert report.value == oracle_det(p, pts).value

@@ -2,17 +2,22 @@
 from PACK_MIN rows on. The packed functions are called directly and the
 public ones with packing switched off, so both routes run at every size;
 the public tests check the dispatch around PACK_MIN against the closed
-forms."""
+forms. The multimodular determinant over Z is checked against Bareiss."""
 
 import random
+import subprocess
+import sys
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evalmat import kernel
 from evalmat.det import det_borderline, det_sum_form
 from evalmat.matrix import PointVectors, bareiss_det, evaluation_matrix
 from evalmat.poly import HomogeneousPoly, UnivariatePoly
-from evalmat.scalar import PrimeField
+from evalmat.scalar import PrimeField, is_prime
 
 # F_2 and F_3 are full of singular matrices; 2^61-1 needs the widest slots
 PRIMES = [2, 3, 101, 2**31 - 1, 2**61 - 1]
@@ -164,3 +169,49 @@ def test_powers_unit_and_general_scales(mod):
             if mod is not None:
                 want = [[t % mod for t in row] for row in want]
             assert kernel.powers(xs, ds, k, mod) == want, (k, xs, ds)
+
+
+# ------------------------------------------------ multimodular over Z
+def test_multimodular_primes_descend_from_2_62():
+    kernel._prime(11)
+    primes = kernel.PRIMES
+    assert len(primes) >= 12 and primes[0] < 2**62
+    assert all(p > q for p, q in zip(primes, primes[1:]))
+    assert all(is_prime(p) for p in primes)
+    # none skipped: every odd number from 2^62 down to the 12th prime is one of them
+    listed = set(primes)
+    assert all(is_prime(q) == (q in listed) for q in range(2**62 - 1, primes[11] - 1, -2))
+
+
+def test_import_generates_no_primes():
+    code = "import evalmat, evalmat.kernel as k; assert k.PRIMES == [], len(k.PRIMES)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_multimodular_matches_bareiss(data):
+    # sizes on both sides of MULTIMODULAR_MIN; entries above 2^600 only where
+    # Bareiss stays cheap
+    low = kernel.MULTIMODULAR_MIN
+    n = data.draw(st.sampled_from([0, 1, 2, 3, 5, 8, low - 1, low]))
+    bits = data.draw(st.sampled_from([1, 8] if n >= low - 1 else [1, 8, 64, 640]))
+    rng = data.draw(st.randoms(use_true_random=False))
+    a = [[rng.randrange(-(2**bits), 2**bits + 1) for _ in range(n)] for _ in range(n)]
+    expected = kernel.det([row[:] for row in a])
+    assert kernel.det_multimodular(a) == expected
+    if n < 2:
+        return
+    i, j = rng.sample(range(n), 2)
+    swapped = a[:]
+    swapped[i], swapped[j] = a[j], a[i]
+    assert kernel.det_multimodular(swapped) == -expected  # one of the two is negative
+    # singular with a nonzero Hadamard bound: row i a combination of the others
+    weights = [0 if r == i else rng.randrange(-3, 4) for r in range(n)]
+    dependent = a[:]
+    dependent[i] = [sum(map(mul, weights, col)) for col in zip(*a)]
+    assert kernel.det_multimodular(dependent) == 0
+    zero_row = a[:i] + [[0] * n] + a[i + 1 :]
+    zero_col = [row[:j] + [0] + row[j + 1 :] for row in a]
+    assert kernel.det_multimodular(zero_row) == kernel.det_multimodular(zero_col) == 0
