@@ -185,7 +185,10 @@ def _engine_values(inst: Instance):
 def cmd_verify(args) -> int:
     inst = _read_instance(args)
     # every input check (--expect, linear_change) comes before any engine runs
-    expected = None if args.expect is None else parse_scalar(args.expect, inst.domain)
+    try:
+        expected = None if args.expect is None else parse_scalar(args.expect, inst.domain)
+    except ValueError as e:
+        raise ValueError(f"--expect: {e}") from e
     prediction = None
     if inst.linear_change is not None:
         if not isinstance(inst.poly, UnivariatePoly):

@@ -95,16 +95,14 @@ def oracle_det(p: HomogeneousPoly | UnivariatePoly, pts: PointVectors) -> DetRep
     return DetReport(dom.ratio(num, math.prod(row_den + col_den)), ORACLE)
 
 
-def det_structured(
-    p: HomogeneousPoly | UnivariatePoly, pts: PointVectors, minor_mode: str = DIRECT
-) -> DetReport:
+def det_structured(p: HomogeneousPoly | UnivariatePoly, pts: PointVectors) -> DetReport:
     """Dispatch on the size regime: vanish (n >= k+2), the closed form at
     n = k+1 (det_sum_form for a sum form, det_borderline otherwise), or,
     for n <= k, the cheaper of Cauchy-Binet and elimination.
 
     The minor expansion costs about S*n^3 for S = support_subsets(p, n);
     building A and eliminating it once costs about n^2(k+1) + n^3.
-    Cauchy-Binet (with minor_mode) runs when S*n <= k+1+n, which includes
+    Cauchy-Binet (DIRECT) runs when S*n <= k+1+n, which includes
     n = 1 and S = 0, where the empty sum gives 0 without building a matrix.
     Otherwise, and for a sum form at n <= k, oracle_det answers (ORACLE).
     """
@@ -115,7 +113,7 @@ def det_structured(
         return det_sum_form(p, pts) if isinstance(p, UnivariatePoly) else det_borderline(p, pts)
     if isinstance(p, UnivariatePoly) or support_subsets(p, n) * n > k + 1 + n:
         return oracle_det(p, pts)
-    return det_cauchy_binet(p, pts, minor_mode)
+    return det_cauchy_binet(p, pts)
 
 
 def support_subsets(p: HomogeneousPoly, n: int) -> int:
@@ -261,12 +259,8 @@ def det_sum_form(f: UnivariatePoly, pts: PointVectors) -> DetReport:
 
     independent of the lower coefficients of f.
     """
-    k = f.degree
-    if k < 0:
-        raise ValueError("zero polynomial has no leading coefficient")
     n = pts.n
-    if n != k + 1:
-        raise SizeMismatchError(f"sum form needs n = deg f + 1, got n={n}, deg={k}")
+    k = _sum_form_degree(f, n, "sum form")
     coeff = f.leading_coefficient**n * math.prod(binomial(k, i) for i in range(k + 1))
     return _closed_form(SUM_FORM, coeff, pts)
 
@@ -277,12 +271,18 @@ def pascal_core_det(f: UnivariatePoly, n: int) -> Scalar:
     Equals alpha_k^n * (-1)^C(n,2) * prod_i C(k,i); computing it by
     elimination keeps this an independent check of that closed form.
     """
+    _sum_form_degree(f, n, "pascal core")
+    return bareiss_det(pascal_core(f, n))
+
+
+def _sum_form_degree(f: UnivariatePoly, n: int, what: str) -> int:
+    """deg f, after checking the sum form's closed-form regime n = deg f + 1."""
     k = f.degree
     if k < 0:
         raise ValueError("zero polynomial has no leading coefficient")
     if n != k + 1:
-        raise SizeMismatchError(f"pascal core needs n = deg f + 1, got n={n}, deg={k}")
-    return bareiss_det(pascal_core(f, n))
+        raise SizeMismatchError(f"{what} needs n = deg f + 1, got n={n}, deg={k}")
+    return k
 
 
 def predict_equivariant_det(f: UnivariatePoly, b: LinearChange, pts: PointVectors):

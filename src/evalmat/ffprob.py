@@ -128,17 +128,6 @@ def exact_borderline_probability(n: int, q: int) -> Fraction:
     return 1 - d * d
 
 
-def _coefficient_scale(cfg: ExperimentConfig) -> int:
-    """alpha_k^n * prod_i C(k,i) mod p: the borderline determinant's
-    point-independent factor."""
-    p = cfg.modulus
-    k = cfg.k
-    scale = pow(cfg.coeffs[k], cfg.n, p)
-    for i in range(k + 1):
-        scale = scale * (binomial(k, i) % p) % p
-    return scale
-
-
 def _det_is_zero(cfg: ExperimentConfig, a: list[int], b: list[int]) -> bool:
     p = cfg.modulus
     return kernel.det(kernel.sum_form(cfg.coeffs, a, b, p), p) == 0
@@ -150,14 +139,14 @@ _ORACLE_SUBSAMPLE = 100
 def estimate_zero_probability(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the seeded Monte-Carlo experiment and count exact zero determinants.
 
-    At n = k+1 with a nonzero coefficient scale the zero test is the O(n)
-    collision check from the borderline closed form, cross-checked against
-    an elimination determinant on the first 100 trials; otherwise every
-    trial computes the determinant by elimination.
+    At n = k+1, det = +-alpha_k^n * prod_i C(k,i) * vdm(a) * vdm(b) with
+    alpha_k != 0 mod p, so unless p divides some C(k,i) the zero test is the
+    O(n) collision check, cross-checked against an elimination determinant on
+    the first 100 trials; otherwise every trial computes it by elimination.
     """
     p = cfg.modulus
     n, k = cfg.n, cfg.k
-    use_collision = n == k + 1 and _coefficient_scale(cfg) != 0
+    use_collision = n == k + 1 and all(binomial(k, i) % p for i in range(k + 1))
     zero_count = 0
     for t in range(cfg.trials):
         g = trial_stream(cfg.seed, t)

@@ -11,11 +11,13 @@ lifts a given ``DenseMatrix`` back to integers for the kernel.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 from . import kernel
 from .poly import HomogeneousPoly, UnivariatePoly, binomial
 from .scalar import (
+    Immutable,
     Scalar,
     ScalarDomain,
     format_scalar,
@@ -25,7 +27,7 @@ from .scalar import (
 )
 
 
-class DenseMatrix:
+class DenseMatrix(Immutable):
     """Immutable row-major matrix; every entry shares one scalar domain."""
 
     __slots__ = ("rows", "cols", "entries", "domain")
@@ -45,9 +47,6 @@ class DenseMatrix:
         )
         object.__setattr__(self, "domain", dom)
 
-    def __setattr__(self, name, val):
-        raise AttributeError("DenseMatrix is immutable")
-
     def __getitem__(self, r: int):
         return self.entries[r]
 
@@ -66,21 +65,16 @@ class DenseMatrix:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         dom = shared_domain(self, other)
-        left = [dom.lift(row) for row in self.entries]
-        right = [dom.lift(col) for col in zip(*other.entries)]
-        ones = [1] * self.cols
-        rows = kernel.product([u for u, _ in left], ones, [w for w, _ in right], dom.modulus)
-        return _wrap(rows, [d for _, d in left], [d for _, d in right], dom)
+        left, left_den = _lift_rows(self.entries, dom)
+        right, right_den = _lift_rows(zip(*other.entries), dom)
+        rows = kernel.product(left, [1] * self.cols, right, dom.modulus)
+        return _wrap(rows, left_den, right_den, dom)
 
     def transpose(self) -> "DenseMatrix":
         return DenseMatrix(
             [[self.entries[r][c] for r in range(self.rows)] for c in range(self.cols)],
             self.domain,
         )
-
-    def column_submatrix(self, cols: Iterable[int]) -> "DenseMatrix":
-        cols = list(cols)
-        return DenseMatrix([[row[c] for c in cols] for row in self.entries], self.domain)
 
     @classmethod
     def diagonal(cls, values: Sequence, domain: ScalarDomain | None = None) -> "DenseMatrix":
@@ -95,7 +89,7 @@ class DenseMatrix:
         return cls.diagonal([domain.one] * n, domain)
 
 
-class PointVectors:
+class PointVectors(Immutable):
     """The evaluation points a = (a_1..a_n), b = (b_1..b_n), one domain."""
 
     __slots__ = ("a", "b", "domain")
@@ -110,15 +104,24 @@ class PointVectors:
         object.__setattr__(self, "b", merged[n:])
         object.__setattr__(self, "domain", dom)
 
-    def __setattr__(self, name, val):
-        raise AttributeError("PointVectors is immutable")
-
     @property
     def n(self) -> int:
         return len(self.a)
 
     def __repr__(self):
         return f"PointVectors(a={self.a!r}, b={self.b!r})"
+
+
+def _lift_rows(rows: Iterable[Sequence], dom: ScalarDomain):
+    """Each row over its own common denominator, as (int rows, dens)."""
+    lifted = [dom.lift(row) for row in rows]
+    return [nums for nums, _ in lifted], [d for _, d in lifted]
+
+
+def _det(rows: Iterable[Sequence], dom: ScalarDomain) -> Scalar:
+    """The kernel's determinant of the lifted rows, over their dens' product."""
+    nums, dens = _lift_rows(rows, dom)
+    return dom.ratio(kernel.det(nums, dom.modulus), math.prod(dens))
 
 
 def _wrap(rows: list[list[int]], row_den, col_den, dom: ScalarDomain) -> DenseMatrix:
@@ -168,8 +171,9 @@ def evaluation_matrix(p: HomogeneousPoly | UnivariatePoly, pts: PointVectors) ->
 
 def vandermonde_desc(a: Sequence, k: int, domain: ScalarDomain | None = None) -> DenseMatrix:
     """n x (k+1) matrix with row r = (a_r^k, a_r^(k-1), ..., a_r^0)."""
-    w = vandermonde_asc(a, k, domain)
-    return DenseMatrix([row[::-1] for row in w.entries], w.domain)
+    dom, vals = normalize_scalars(a, domain)
+    rows, dens = power_image(vals, k, dom, descending=True)
+    return _wrap(rows, dens, [1] * (k + 1), dom)
 
 
 def vandermonde_asc(b: Sequence, k: int, domain: ScalarDomain | None = None) -> DenseMatrix:
@@ -210,17 +214,12 @@ def bareiss_det(m: DenseMatrix) -> Scalar:
     elimination with modular inverses over F_p)."""
     if m.rows != m.cols:
         raise ValueError(f"matrix is {m.rows}x{m.cols}, not square")
-    rows, den = [], 1
-    for row in m.entries:
-        nums, d = m.domain.lift(row)
-        rows.append(nums)
-        den *= d
-    return m.domain.ratio(kernel.det(rows, m.domain.modulus), den)
+    return _det(m.entries, m.domain)
 
 
 def rank(m: DenseMatrix) -> int:
     """Exact rank, by the kernel's elimination on the row-wise integer lift."""
-    return kernel.echelon([m.domain.lift(row)[0] for row in m.entries], m.domain.modulus)[0]
+    return kernel.echelon(_lift_rows(m.entries, m.domain)[0], m.domain.modulus)[0]
 
 
 def minor_det(m: DenseMatrix, col_subset: Iterable[int]) -> Scalar:
@@ -230,7 +229,7 @@ def minor_det(m: DenseMatrix, col_subset: Iterable[int]) -> Scalar:
         raise ValueError(
             f"column subset has size {len(cols)}, need {m.rows} for a square minor"
         )
-    return bareiss_det(m.column_submatrix(cols))
+    return _det([[row[c] for c in cols] for row in m.entries], m.domain)
 
 
 def matrix_to_json(m: DenseMatrix) -> dict:

@@ -8,6 +8,7 @@ from typing import Sequence
 from . import kernel
 from .scalar import (
     RATIONAL,
+    Immutable,
     Scalar,
     ScalarDomain,
     binomial,
@@ -18,7 +19,7 @@ from .scalar import (
 )
 
 
-class HomogeneousPoly:
+class HomogeneousPoly(Immutable):
     """Degree-k homogeneous bivariate polynomial.
 
     coeffs[i] multiplies x^(k-i) y^i; the vector has exactly k+1 entries and
@@ -41,9 +42,6 @@ class HomogeneousPoly:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", vals)
         object.__setattr__(self, "domain", dom)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("HomogeneousPoly is immutable")
 
     def evaluate(self, x: Scalar, y: Scalar) -> Scalar:
         """p(x, y) = sum_i coeffs[i] x^(k-i) y^i, computed exactly."""
@@ -77,7 +75,7 @@ class HomogeneousPoly:
         return f"HomogeneousPoly(degree={self.degree}, coeffs={self.coeffs!r})"
 
 
-class UnivariatePoly:
+class UnivariatePoly(Immutable):
     """Univariate f(t) for the sum form p(x, y) = f(x + y).
 
     coeffs[i] multiplies t^i; trailing zeros are kept as stored but the
@@ -92,9 +90,6 @@ class UnivariatePoly:
             raise ValueError("coefficient vector must be nonempty")
         object.__setattr__(self, "coeffs", vals)
         object.__setattr__(self, "domain", dom)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("UnivariatePoly is immutable")
 
     @property
     def degree(self) -> int:

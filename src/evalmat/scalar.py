@@ -66,17 +66,29 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class FpElement:
-    """An element of F_p. Immutable; arithmetic stays inside one field."""
+class Immutable:
+    """Base of the value types, whose __init__ sets each slot once."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, val):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class FpElement(Immutable):
+    """An element of F_p. Immutable; arithmetic stays inside one field.
+
+    An int is equal only to the element whose residue in [0, p) it is, which
+    keeps the int hash contract, and elements of different fields are never
+    equal. So with F7(3) = FpElement(3, PrimeField(7)): F7(3) != 10;
+    3 == F7(3) and 3 == F101(3) but F7(3) != F101(3); and a set mixing
+    fields and ints depends on insertion order."""
 
     __slots__ = ("value", "field")
 
     def __init__(self, value: int, field: "PrimeField"):
         object.__setattr__(self, "value", value % field.p)
         object.__setattr__(self, "field", field)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("FpElement is immutable")
 
     def _coerce(self, other) -> "FpElement | None":
         if isinstance(other, FpElement):
@@ -147,7 +159,6 @@ class FpElement:
         return FpElement(pow(self.value, -1, self.field.p), self.field)
 
     def __eq__(self, other):
-        # an int compares by value, not residue, so equal objects hash alike
         if isinstance(other, int):
             return self.value == other
         if isinstance(other, FpElement):
@@ -167,7 +178,7 @@ class FpElement:
         return f"FpElement({self.value} mod {self.field.p})"
 
 
-class PrimeField:
+class PrimeField(Immutable):
     """Shared context for F_p scalars; prime modulus p < 2^62."""
 
     __slots__ = ("p", "modulus")
@@ -179,9 +190,6 @@ class PrimeField:
             raise ValueError(f"modulus {p} is not prime")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "modulus", p)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("PrimeField is immutable")
 
     @property
     def zero(self) -> FpElement:
@@ -357,12 +365,15 @@ def format_scalar(x: Scalar) -> str:
 
 def parse_scalar(s: str, domain: ScalarDomain) -> Scalar:
     """Inverse of format_scalar for any number of digits; shorter strings may
-    use any literal that Fraction (Q) or int (F_p) accepts."""
+    use any literal that Fraction (Q) or int (F_p) accepts; others raise ValueError."""
     m = _LONG_DECIMAL.fullmatch(s) if len(s) > _SPLIT_DIGITS else None
-    if m is None or (m[3] is not None and domain.modulus is not None):
-        return Fraction(s) if domain.modulus is None else FpElement(int(s), domain)
-    num = _digits_int(m[2])
-    return domain.ratio(-num if m[1] == "-" else num, _digits_int(m[3] or "1"))
+    try:
+        if m is None or (m[3] is not None and domain.modulus is not None):
+            return Fraction(s) if domain.modulus is None else FpElement(int(s), domain)
+        num = _digits_int(m[2])
+        return domain.ratio(-num if m[1] == "-" else num, _digits_int(m[3] or "1"))
+    except ZeroDivisionError as e:
+        raise ValueError(f"zero denominator in {s!r}") from e
 
 
 def parse_scalars(items: list, domain: ScalarDomain, name: str) -> list:

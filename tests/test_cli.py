@@ -529,3 +529,36 @@ def test_scalar_as_json_number_exit_2(monkeypatch, capsys, path, value, where):
     for command in ("det", "verify", "matrix"):
         code, out, err = run_main_full(monkeypatch, capsys, [command], json.dumps(inst))
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("text", ["1/0", "9" * 700 + "/0"], ids=["short", "long"])
+def test_zero_denominator_names_field_exit_2(monkeypatch, capsys, text):
+    # was `error: Fraction(1, 0)`, naming neither the field nor --expect
+    coeffs = dict(INSTANCE["poly"], coeffs=["1", text])
+    change = ["1", text, "0", "1"]
+    cases = [
+        (dict(INSTANCE, a=[text, "2"]), "field 'a'/'b'"),
+        (dict(INSTANCE, b=["3", text]), "field 'a'/'b'"),
+        (dict(INSTANCE, poly=coeffs), "field 'poly'"),
+        (dict(INSTANCE, poly=SQUARE, linear_change=change), "field 'linear_change'"),
+    ]
+    message = f"zero denominator in {text!r}"
+    for inst, where in cases:
+        for command in ("det", "verify", "matrix"):
+            code, out, err = run_main_full(monkeypatch, capsys, [command], json.dumps(inst))
+            assert (code, out, err) == (2, "", f"error: {where}: {message}\n"), (where, command)
+    args = ["verify", "--expect", text]
+    code, out, err = run_main_full(monkeypatch, capsys, args, json.dumps(INSTANCE))
+    assert (code, out, err) == (2, "", f"error: --expect: {message}\n")
+
+
+def test_bench_more_sizes_than_field_elements_exit_2(monkeypatch, capsys):
+    args = ["bench", "--sizes", "5", "--domain", "fp:3", "--seed", "1"]
+    code, out, err = run_main_full(monkeypatch, capsys, args)
+    assert (code, out, err) == (2, "", "error: cannot pick 5 distinct points in F_3\n")
+
+
+def test_malformed_expect_names_expect(monkeypatch, capsys):
+    args = ["verify", "--expect", "x"]
+    code, out, err = run_main_full(monkeypatch, capsys, args, json.dumps(INSTANCE))
+    assert (code, out, err) == (2, "", "error: --expect: Invalid literal for Fraction: 'x'\n")

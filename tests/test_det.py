@@ -552,7 +552,7 @@ def test_dispatch_dense_n6_k12_uses_oracle():
         [F.from_int(rng.randrange(F.p)) for _ in range(6)],
         F,
     )
-    rep = det_structured(p, pts, H_ROUTE)
+    rep = det_structured(p, pts)
     assert rep.method == ORACLE and rep.subset_terms is None
     assert rep.value == oracle_det(p, pts).value == det_cauchy_binet(p, pts, H_ROUTE).value
 
@@ -717,3 +717,23 @@ def test_direct_minor_terms_are_descending_minors(field, n):
             alpha = math.prod((p.coeffs[i] for i in subset), start=dom.one)
             assert term == minor_det(v, subset) * alpha * minor_det(w, subset)
         assert report.value == oracle_det(p, pts).value
+
+
+def test_cauchy_binet_needs_a_point():
+    with pytest.raises(SizeMismatchError, match="need at least one evaluation point"):
+        det_cauchy_binet(HomogeneousPoly(2, [1, 2, 1]), PointVectors([], []))
+
+
+@pytest.mark.parametrize("engine", ["sum_form", "pascal_core"])
+def test_sum_form_regime_check(engine):
+    # det_sum_form and pascal_core_det share one n = deg f + 1 check
+    def run(f, n):
+        if engine == "sum_form":
+            return det_sum_form(f, PointVectors(range(n), range(n)))
+        return pascal_core_det(f, n)
+
+    with pytest.raises(ValueError, match="zero polynomial has no leading coefficient"):
+        run(UnivariatePoly([0, 0]), 1)
+    label = "sum form" if engine == "sum_form" else "pascal core"
+    with pytest.raises(SizeMismatchError, match=f"{label} needs n = deg f \\+ 1, got n=2, deg=2"):
+        run(UnivariatePoly([1, 0, 3]), 2)

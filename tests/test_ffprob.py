@@ -151,3 +151,19 @@ def test_result_serialization():
     assert len(fields) == len(CSV_HEADER.split(","))
     assert fields[0] == "101" and fields[4] == "1"
     assert fields[7] == "6/101"
+
+
+def test_config_rejects_empty_coefficients():
+    with pytest.raises(ValueError, match="empty coefficient vector"):
+        ExperimentConfig(modulus=7, n=1, coeffs=(), trials=10, seed=0)
+
+
+def test_collision_shortcut_cross_check_raises_on_disagreement(monkeypatch):
+    import evalmat.ffprob as ffprob_mod
+
+    # an elimination that always reports zero contradicts the first trial
+    # whose points have no repeat
+    monkeypatch.setattr(ffprob_mod, "_det_is_zero", lambda cfg, a, b: True)
+    cfg = ExperimentConfig(modulus=101, n=3, coeffs=(1, 1, 1), trials=5, seed=1)
+    with pytest.raises(RuntimeError, match="collision shortcut disagrees with oracle"):
+        estimate_zero_probability(cfg)

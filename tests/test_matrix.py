@@ -280,3 +280,13 @@ def test_bareiss_matches_leibniz_all_domains(dom, n, data):
     rows = [data.draw(st.lists(lift_scalars(dom), min_size=n, max_size=n)) for _ in range(n)]
     expected = leibniz_det(rows) if n else dom.one
     assert bareiss_det(DenseMatrix(rows, dom)) == expected
+
+
+def test_dense_matrix_rejects_unequal_rows():
+    with pytest.raises(ValueError, match="rows have unequal lengths"):
+        DenseMatrix([[1, 2], [3]])
+
+
+def test_pascal_core_rejects_empty_grid():
+    with pytest.raises(ValueError, match="grid dimension must be >= 1"):
+        pascal_core(UnivariatePoly([1, 2]), 0)

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from evalmat.matrix import DenseMatrix, PointVectors
+from evalmat.poly import HomogeneousPoly, UnivariatePoly
 from evalmat.scalar import (
     RATIONAL,
     DomainMismatchError,
@@ -192,3 +194,39 @@ def test_fp_element_and_int_in_sets():
     assert 3 in {F7.from_int(3)} and F7.from_int(3) in {3}
     assert F7.from_int(3) == 3 and F7.from_int(3) != 10
     assert len({F7.from_int(3), F101.from_int(3)}) == 2
+
+
+def test_fp_equality_across_fields():
+    # an int equals the element with that residue in [0, p); fields never mix
+    assert F7.from_int(3) != 10
+    assert 3 == F7.from_int(3) and 3 == F101.from_int(3)
+    assert F7.from_int(3) != F101.from_int(3)
+    assert len({3, F7.from_int(3), F101.from_int(3)}) == 1
+    assert len({F7.from_int(3), F101.from_int(3), 3}) == 2
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        F7.one,
+        F7,
+        DenseMatrix([[1, 2]]),
+        PointVectors([1], [2]),
+        HomogeneousPoly(1, [1, 2]),
+        UnivariatePoly([1, 2]),
+    ],
+    ids=lambda v: type(v).__name__,
+)
+def test_value_types_are_immutable(value):
+    cls = type(value)
+    with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+        setattr(value, cls.__slots__[0], None)
+
+
+@pytest.mark.parametrize(
+    "text", ["1/0", "-3/0", "0/0", "7" * 700 + "/0"], ids=["1/0", "-3/0", "0/0", "long"]
+)
+def test_parse_scalar_zero_denominator_is_value_error(text):
+    # Fraction raises ZeroDivisionError; the CLI reports ValueErrors per field
+    with pytest.raises(ValueError, match="zero denominator in"):
+        parse_scalar(text, RATIONAL)
