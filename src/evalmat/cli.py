@@ -255,7 +255,10 @@ def _resolve_seed(args) -> int:
 
 def cmd_ffprob(args) -> int:
     if args.coeffs:
-        coeffs = tuple(int(c) for c in args.coeffs.split(","))
+        try:
+            coeffs = tuple(int(c) for c in args.coeffs.split(","))
+        except ValueError as e:
+            raise ValueError(f"--coeffs: {e}") from e
         if len(coeffs) != args.k + 1:
             raise ValueError(f"--coeffs needs k+1 = {args.k + 1} entries, got {len(coeffs)}")
     else:
@@ -272,10 +275,16 @@ def cmd_ffprob(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+    except ValueError as e:
+        raise ValueError(f"--sizes: {e}") from e
     if any(n < 1 for n in sizes):
         raise ValueError("bench sizes must be >= 1")
-    domain = parse_domain(args.domain)
+    try:
+        domain = parse_domain(args.domain)
+    except ValueError as e:
+        raise ValueError(f"--domain: {e}") from e
     if args.trials < 1:
         raise ValueError(f"bench --trials must be >= 1, got {args.trials}")
     records = bench_mod.run_bench(sizes, domain, args.trials, _resolve_seed(args))

@@ -14,10 +14,15 @@ with mix64(z): z ^= z>>30; z *= 0xBF58476D1CE4E5B9; z ^= z>>27;
 z *= 0x94D049BB133111EB; z ^= z>>31 (all mod 2^64). Field elements come from
 62-bit draws rejected above the largest multiple of p, then reduced mod p.
 Trial t uses its own stream seeded at mix64(seed) XOR mix64(t * gamma);
-within a trial the draw order is a_1..a_n then b_1..b_n.
+within a trial the draw order is a_1..a_n then b_1..b_n. SplitMix64 and
+trial_stream state this specification; the trial loop draws from the same
+streams with mix64 and the rejection inlined (_trial_draws).
 
-Each trial stays on raw residues: the integer kernel builds [f(a_r + b_s)]
-mod p by Horner and eliminates it mod p, with no scalar objects.
+A trial with a repeated a_r or b_s has two equal rows or columns, so its
+determinant is zero on either path. Any other trial off the n = k+1
+collision path stays on raw residues: the integer kernel builds
+[f(a_r + b_s)] mod p by Horner and eliminates it mod p, with no scalar
+objects.
 """
 
 from __future__ import annotations
@@ -64,6 +69,32 @@ class SplitMix64:
 def trial_stream(seed: int, trial: int) -> SplitMix64:
     """Independent deterministic stream for one trial."""
     return SplitMix64(mix64(seed) ^ mix64((trial * _GAMMA) & _MASK64))
+
+
+def _trial_draws(seed: int, n: int, p: int, trials: int):
+    """Yield each trial's 2n residues a_1..a_n, b_1..b_n: for trial t exactly
+    [trial_stream(seed, t).next_below(p) for _ in range(2n)], with mix64 and
+    the rejection inlined and the seed mix and threshold computed once."""
+    seed_mix = mix64(seed)
+    threshold = (1 << 62) - ((1 << 62) % p)
+    # mix64's two multipliers, bound to locals as the other constants are
+    m1, m2, gamma, mask = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, _GAMMA, _MASK64
+    for t in range(trials):
+        z = (t * gamma) & mask
+        z = ((z ^ (z >> 30)) * m1) & mask
+        z = ((z ^ (z >> 27)) * m2) & mask
+        state = seed_mix ^ z ^ (z >> 31)
+        draws = []
+        for _ in range(2 * n):
+            while True:
+                state = (state + gamma) & mask
+                z = ((state ^ (state >> 30)) * m1) & mask
+                z = ((z ^ (z >> 27)) * m2) & mask
+                u = (z ^ (z >> 31)) >> 2
+                if u < threshold:
+                    break
+            draws.append(u % p)
+        yield draws
 
 
 @dataclass(frozen=True)
@@ -139,28 +170,28 @@ _ORACLE_SUBSAMPLE = 100
 def estimate_zero_probability(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the seeded Monte-Carlo experiment and count exact zero determinants.
 
-    At n = k+1, det = +-alpha_k^n * prod_i C(k,i) * vdm(a) * vdm(b) with
-    alpha_k != 0 mod p, so unless p divides some C(k,i) the zero test is the
-    O(n) collision check, cross-checked against an elimination determinant on
-    the first 100 trials; otherwise every trial computes it by elimination.
+    A repeated a_r or b_s makes two rows or columns equal, so det = 0 on
+    every path. At n = k+1, det = +-alpha_k^n * prod_i C(k,i) * vdm(a) * vdm(b)
+    with alpha_k != 0 mod p, so unless p divides some C(k,i), det = 0 exactly
+    when a point repeats and the zero test is this O(n) collision check
+    alone. Otherwise the trials without a repeat compute det by elimination.
+    Each of the first 100 trials that the collision check decides is
+    cross-checked against an elimination determinant.
     """
     p = cfg.modulus
     n, k = cfg.n, cfg.k
     use_collision = n == k + 1 and all(binomial(k, i) % p for i in range(k + 1))
     zero_count = 0
-    for t in range(cfg.trials):
-        g = trial_stream(cfg.seed, t)
-        a = [g.next_below(p) for _ in range(n)]
-        b = [g.next_below(p) for _ in range(n)]
-        if use_collision:
-            is_zero = len(set(a)) < n or len(set(b)) < n
-            if t < _ORACLE_SUBSAMPLE and is_zero != _det_is_zero(cfg, a, b):
+    for t, draws in enumerate(_trial_draws(cfg.seed, n, p, cfg.trials)):
+        a, b = draws[:n], draws[n:]
+        repeated = len(set(a)) < n or len(set(b)) < n
+        if repeated or use_collision:
+            if t < _ORACLE_SUBSAMPLE and repeated != _det_is_zero(cfg, a, b):
                 raise RuntimeError(
                     f"collision shortcut disagrees with oracle on trial {t}: a={a} b={b}"
                 )
-        else:
-            is_zero = _det_is_zero(cfg, a, b)
-        if is_zero:
+            zero_count += repeated
+        elif _det_is_zero(cfg, a, b):
             zero_count += 1
 
     empirical = Fraction(zero_count, cfg.trials)

@@ -37,23 +37,31 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-# Deterministic Miller-Rabin witness set, valid for every n < 3.3e24
-# (covers the full modulus range p < 2^62).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Trial division by the first twelve primes, then strong probable-prime
+# tests to the seven bases below, which no composite n < 2^64 passes
+# (Sinclair's set); that covers every modulus p < 2^62. From 2^64 on the
+# twelve primes are the bases, as in Miller-Rabin with the first twelve
+# primes, which no composite below 3.18e23 passes (Sorenson and Webster).
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality check for n < 2^62."""
+    """Primality of n: deterministic for n < 3.18e23, a strong
+    probable-prime test to twelve bases above."""
     if n < 2:
         return False
-    for q in _MR_WITNESSES:
+    for q in _SMALL_PRIMES:
         if n % q == 0:
             return n == q
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_BASES_64 if n < 1 << 64 else _SMALL_PRIMES:
+        a %= n
+        if a == 0:
+            continue
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -562,3 +562,19 @@ def test_malformed_expect_names_expect(monkeypatch, capsys):
     args = ["verify", "--expect", "x"]
     code, out, err = run_main_full(monkeypatch, capsys, args, json.dumps(INSTANCE))
     assert (code, out, err) == (2, "", "error: --expect: Invalid literal for Fraction: 'x'\n")
+
+
+@pytest.mark.parametrize(
+    "args,option",
+    [
+        (["ffprob", "--p", "7", "--n", "2", "--k", "1", "--coeffs", "1,x", "--trials", "5"], "--coeffs"),
+        (["bench", "--sizes", "2,x"], "--sizes"),
+        (["bench", "--sizes", "2", "--domain", "fp:x"], "--domain"),
+    ],
+    ids=["coeffs", "sizes", "domain"],
+)
+def test_malformed_integer_option_names_option(monkeypatch, capsys, args, option):
+    # was only `error: invalid literal for int() with base 10: 'x'`
+    code, out, err = run_main_full(monkeypatch, capsys, args)
+    message = "invalid literal for int() with base 10: 'x'"
+    assert (code, out, err) == (2, "", f"error: {option}: {message}\n")

@@ -5,6 +5,7 @@ import pytest
 
 from evalmat.ffprob import (
     CSV_HEADER,
+    _trial_draws,
     ExperimentConfig,
     SplitMix64,
     estimate_zero_probability,
@@ -166,4 +167,83 @@ def test_collision_shortcut_cross_check_raises_on_disagreement(monkeypatch):
     monkeypatch.setattr(ffprob_mod, "_det_is_zero", lambda cfg, a, b: True)
     cfg = ExperimentConfig(modulus=101, n=3, coeffs=(1, 1, 1), trials=5, seed=1)
     with pytest.raises(RuntimeError, match="collision shortcut disagrees with oracle"):
+        estimate_zero_probability(cfg)
+
+
+P31 = 2**31 - 1
+P61 = 2305843009213693967  # the least prime above 2^61: rejects about half of all draws
+
+# zero counts recorded before the trial loop inlined its draws
+PINNED_ZERO_COUNTS = [
+    # (q, n, coeffs, trials, collision path, zero_count at seeds 0, 1, 99)
+    (2, 1, (1,), 100, True, (0, 0, 0)),
+    (2, 2, (1, 1), 200, True, (158, 142, 139)),
+    (2, 2, (1, 1, 1, 1), 200, False, (158, 142, 139)),
+    (2, 3, (1, 1, 1), 100, False, (100, 100, 100)),
+    (3, 3, (1, 2, 1), 200, True, (185, 191, 190)),
+    (3, 4, (1, 1, 1, 1), 100, False, (100, 100, 100)),
+    (3, 2, (2, 1, 2, 1), 200, False, (115, 113, 105)),
+    (7, 3, (1, 2, 3, 4, 5), 200, False, (138, 145, 144)),
+    (7, 3, (1, 1, 1), 300, True, (195, 194, 190)),
+    (7, 7, (1, 1, 1, 1, 1, 1, 1), 100, True, (100, 100, 100)),
+    (7, 8, (1, 1, 1, 1, 1, 1, 1, 1), 50, False, (50, 50, 50)),
+    (7, 2, (3, 6, 5, 4), 300, False, (111, 102, 104)),
+    (101, 3, (1, 1, 1), 400, True, (23, 19, 31)),
+    (101, 3, (1, 1, 1, 1, 1), 300, False, (22, 17, 21)),
+    (101, 4, (5, 9, 2, 7), 300, True, (34, 28, 43)),
+    (P31, 6, (1, 1, 1, 1, 1, 1), 100, True, (0, 0, 0)),
+    (P31, 4, (1, 1, 1, 1, 1, 1, 1), 60, False, (0, 0, 0)),
+    (P61, 3, (1, 1, 1), 100, True, (0, 0, 0)),
+    (P61, 2, (3, 1, 4, 1), 60, False, (0, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("q,n,coeffs,trials,collision,counts", PINNED_ZERO_COUNTS)
+def test_seeded_zero_counts_pinned(q, n, coeffs, trials, collision, counts):
+    for seed, count in zip((0, 1, 99), counts):
+        cfg = ExperimentConfig(modulus=q, n=n, coeffs=coeffs, trials=trials, seed=seed)
+        res = estimate_zero_probability(cfg)
+        assert (res.zero_count, res.exact_borderline is not None) == (count, collision), seed
+
+
+def test_seeded_results_pinned():
+    cfg = ExperimentConfig(modulus=101, n=3, coeffs=(1, 1, 1), trials=400, seed=0)
+    assert result_to_json(estimate_zero_probability(cfg)) == {
+        "p": 101, "n": 3, "k": 2, "trials": 400, "seed": 0, "zero_count": 23,
+        "empirical": "23/400", "sz_bound": "6/101", "exact_borderline": "6050401/104060401",
+        "confidence_halfwidth": "2516202665175739/72057594037927936",
+    }  # fmt: skip
+    cfg = ExperimentConfig(modulus=7, n=3, coeffs=(1, 2, 3, 4, 5), trials=200, seed=1)
+    assert result_to_json(estimate_zero_probability(cfg)) == {
+        "p": 7, "n": 3, "k": 4, "trials": 200, "seed": 1, "zero_count": 145,
+        "empirical": "29/40", "sz_bound": "12/7", "exact_borderline": None,
+        "confidence_halfwidth": "3412647007004503/36028797018963968",
+    }  # fmt: skip
+    # where no trial is zero the counts cannot show a changed draw; trial 0
+    # of seed 99 rejects its 3rd and 4th 62-bit draws at P61
+    g = trial_stream(99, 0)
+    assert [g.next_below(P61) for _ in range(4)] == [
+        1044114288384258268, 480061649305629985, 418353753845315641, 1081859263935256628,
+    ]  # fmt: skip
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 101, P31, P61])
+def test_trial_draws_equal_public_stream(p):
+    for seed in (0, 1, 99, 2**64 + 5, -3):
+        for n in (1, 2, 3, 6):
+            expected = []
+            for t in range(40):
+                g = trial_stream(seed, t)
+                expected.append([g.next_below(p) for _ in range(2 * n)])
+            assert list(_trial_draws(seed, n, p, 40)) == expected, (seed, n)
+
+
+def test_repeated_point_cross_check_raises_on_elimination_path(monkeypatch):
+    import evalmat.ffprob as ffprob_mod
+
+    # an elimination that never reports zero contradicts the first trial
+    # with a repeated point; q = 7, n = 3, k = 4 is on the elimination path
+    monkeypatch.setattr(ffprob_mod, "_det_is_zero", lambda cfg, a, b: False)
+    cfg = ExperimentConfig(modulus=7, n=3, coeffs=(1, 2, 3, 4, 5), trials=100, seed=1)
+    with pytest.raises(RuntimeError, match="collision shortcut disagrees with oracle on trial"):
         estimate_zero_probability(cfg)

@@ -4,6 +4,7 @@ public ones with packing switched off, so both routes run at every size;
 the public tests check the dispatch around PACK_MIN against the closed
 forms. The multimodular determinant over Z is checked against Bareiss."""
 
+import hashlib
 import random
 import subprocess
 import sys
@@ -181,6 +182,15 @@ def test_multimodular_primes_descend_from_2_62():
     # none skipped: every odd number from 2^62 down to the 12th prime is one of them
     listed = set(primes)
     assert all(is_prime(q) == (q in listed) for q in range(2**62 - 1, primes[11] - 1, -2))
+
+
+def test_multimodular_primes_pinned():
+    # the first 300 primes below 2^62, as found by twelve-base Miller-Rabin
+    kernel._prime(299)
+    primes = kernel.PRIMES[:300]
+    assert (primes[0], primes[-1]) == (4611686018427387847, 4611686018427375751)
+    digest = hashlib.sha256(",".join(map(str, primes)).encode()).hexdigest()
+    assert digest == "448ea4ac07d021bc48fd1288c60747d18e5348bfdf7e30301349a914f001f8d1"
 
 
 def test_import_generates_no_primes():

@@ -129,6 +129,52 @@ def test_is_prime():
     assert not is_prime(2147483647 * 3)
 
 
+def _is_prime_12_bases(n):
+    """Miller-Rabin to the first twelve prime bases, the rule is_prime used
+    before its seven-base set: deterministic below 3.18e23."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    if n in bases:
+        return True
+    if any(n % q == 0 for q in bases):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_is_prime_agrees_with_twelve_bases_below_200000():
+    assert [n for n in range(200_000) if is_prime(n)] == [
+        n for n in range(200_000) if _is_prime_12_bases(n)
+    ]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # 3215031751 passes bases 2, 3, 5, 7; 3825123056546413051 passes every
+    # prime base up to 23 and is below 2^62
+    for n in (3215031751, 3825123056546413051):
+        assert not is_prime(n) and not _is_prime_12_bases(n)
+    near = range(2**62 - 3001, 2**62, 2)
+    assert [n for n in near if is_prime(n)] == [n for n in near if _is_prime_12_bases(n)]
+    # a base that is 0 mod n is skipped: 73 and 193 divide 28178, 407521
+    # divides 9780504 and 299210837 divides 1795265022; 14089 = 73 * 193
+    for n in (73, 193, 407521, 299210837):
+        assert is_prime(n)
+    assert not is_prime(14089) and not is_prime(73 * 407521)
+
+
 def test_prime_field_rejects_bad_moduli():
     with pytest.raises(ValueError):
         PrimeField(4)
