@@ -212,19 +212,19 @@ def test_seeded_results_pinned():
         "p": 101, "n": 3, "k": 2, "trials": 400, "seed": 0, "zero_count": 23,
         "empirical": "23/400", "sz_bound": "6/101", "exact_borderline": "6050401/104060401",
         "confidence_halfwidth": "2516202665175739/72057594037927936",
-    }  # fmt: skip
+    }
     cfg = ExperimentConfig(modulus=7, n=3, coeffs=(1, 2, 3, 4, 5), trials=200, seed=1)
     assert result_to_json(estimate_zero_probability(cfg)) == {
         "p": 7, "n": 3, "k": 4, "trials": 200, "seed": 1, "zero_count": 145,
         "empirical": "29/40", "sz_bound": "12/7", "exact_borderline": None,
         "confidence_halfwidth": "3412647007004503/36028797018963968",
-    }  # fmt: skip
+    }
     # where no trial is zero the counts cannot show a changed draw; trial 0
     # of seed 99 rejects its 3rd and 4th 62-bit draws at P61
     g = trial_stream(99, 0)
     assert [g.next_below(P61) for _ in range(4)] == [
         1044114288384258268, 480061649305629985, 418353753845315641, 1081859263935256628,
-    ]  # fmt: skip
+    ]
 
 
 @pytest.mark.parametrize("p", [2, 3, 7, 101, P31, P61])
