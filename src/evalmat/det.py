@@ -158,9 +158,12 @@ def det_cauchy_binet(
     DIRECT evaluates the minors by elimination, V's on its exponents in
     ascending order. H_ROUTE extracts the Vandermonde product of the points
     and evaluates the remaining factor as a Jacobi-Trudi determinant in the
-    complete homogeneous polynomials (see schur_minor); W's ascending
-    exponents are reversed to descending, whose (-1)^C(n,2) cost cancels the
-    descending minor's own sign. Only subsets inside the support of the
+    complete homogeneous polynomials on the l(lam) rows of its nonzero parts
+    (see schur_minor); W's ascending exponents are reversed to descending,
+    whose (-1)^C(n,2) cost cancels the descending minor's own sign. A row
+    reads H_d up to d = lam_1 + l(lam) - 1 <= k, and at n = k+1 the one
+    subset has lam empty, so the H tables go to depth k for n <= k and to
+    depth 0 at n = k+1. Only subsets inside the support of the
     coefficients are enumerated, in lexicographic order. Both routes run on
     the kernel's integer lift and wrap each term over one shared denominator.
     """
@@ -198,8 +201,9 @@ def det_cauchy_binet(
         # Over a = X/D, b = Y/G the minors carry D^(nk - sum I) G^(sum I).
         xa, ga = dom.lift(pts.a)
         xb, gb = dom.lift(pts.b)
-        h_a = kernel.h_table(xa, k, mod)
-        h_b = kernel.h_table(xb, k, mod)
+        depth = k if n <= k else 0
+        h_a = kernel.h_table(xa, depth, mod)
+        h_b = kernel.h_table(xb, depth, mod)
         scale = sign * kernel.vandermonde(xa, mod) * kernel.vandermonde(xb, mod)
         den = e**n * (ga * gb) ** (n * k)
         for subset in subsets:
@@ -221,8 +225,9 @@ def schur_minor(xs: Sequence, exponents: Sequence[int]) -> Scalar:
                         = (-1)^C(n,2) * vandermonde_product(xs) * schur_minor(xs, e),
 
     where this factor is the Jacobi-Trudi determinant det [H_{lam_i + j - i}(xs)]
-    with lam_i = e_i - (n - i) (the Schur polynomial s_lam(xs)). It is
-    computed on the integer numerators X over their common denominator D as
+    with lam_i = e_i - (n - i) (the Schur polynomial s_lam(xs)), taken on the
+    l(lam) rows of the nonzero parts (see _jacobi_trudi). It is computed on
+    the integer numerators X over their common denominator D as
     s_lam(X) / D^|lam|.
     """
     exps = tuple(exponents)
@@ -235,16 +240,37 @@ def schur_minor(xs: Sequence, exponents: Sequence[int]) -> Scalar:
         raise ValueError(f"exponents must be strictly decreasing: {exps}")
     dom, xs = normalize_scalars(xs)
     nums, den = dom.lift(xs)
-    hs = kernel.h_table(nums, max(exps, default=0), dom.modulus)
+    length = _partition_length(exps)
+    depth = exps[0] - len(exps) + length if length else 0  # lam_1 + l(lam) - 1
+    hs = kernel.h_table(nums, depth, dom.modulus)
     weight = sum(exps) - binomial(len(exps), 2)
     return dom.ratio(_jacobi_trudi(exps, hs, dom.modulus), den**weight)
 
 
 def _jacobi_trudi(exps: Sequence[int], hs: list[int], mod: int | None) -> int:
-    """det [H_{lam_i + j - i}] = det [H_{e_i - n + 1 + j}] with H_d = hs[d], 0 for d < 0."""
-    n = len(exps)
-    rows = [[hs[d] if d >= 0 else 0 for d in range(e - n + 1, e + 1)] for e in exps]
+    """det [H_{lam_i + j - i}] = det [H_{e_i - n + 1 + j}] with H_d = hs[d], 0 for d < 0.
+
+    Only the top-left l x l block is eliminated, l = l(lam) the number of
+    nonzero parts: a row i >= l has lam_i = 0, so it reads H_{j-i}, which is
+    0 left of the diagonal and H_0 = 1 on it. The n x n matrix is therefore
+    block upper triangular with a unitriangular lower-right block, and its
+    determinant is that of the block (Macdonald, Symmetric Functions and
+    Hall Polynomials, I.3). The block reads hs up to lam_1 + l - 1; l = 0
+    gives the empty determinant 1.
+    """
+    n, length = len(exps), _partition_length(exps)
+    rows = [
+        [hs[d] if d >= 0 else 0 for d in range(e - n + 1, e - n + 1 + length)]
+        for e in exps[:length]
+    ]
     return kernel.det(rows, mod)
+
+
+def _partition_length(exps: Sequence[int]) -> int:
+    """l(lam) for lam_i = e_i - (n - 1 - i), i from 0: its nonzero parts,
+    which come first since lam is non-increasing."""
+    n = len(exps)
+    return sum(1 for i, e in enumerate(exps) if e > n - 1 - i)
 
 
 def rank_upper_bound(p: HomogeneousPoly, n: int) -> int:

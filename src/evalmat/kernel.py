@@ -41,9 +41,10 @@ used, and none is skipped on an early agreement. Its cost follows H, so
 it pays only where Bareiss' leading minors grow: on the evaluation matrix
 A from about MULTIMODULAR_MIN rows on (n = 29, 20-bit points: about 470
 against 850 ms), which is why only the oracle uses it. W's ascending
-powers and the unitriangular Jacobi-Trudi matrices keep Bareiss' minors
-small while H stays large: at n = 29, W took 75 ms by Bareiss against
-250 ms by CRT, and the Jacobi-Trudi matrix 1.6 against 153 ms.
+powers keep Bareiss' minors small while H stays large: at n = 29, W took
+75 ms by Bareiss against 250 ms by CRT. (The Jacobi-Trudi determinants of
+the Cauchy-Binet H route reach this kernel only as their l(lam) x l(lam)
+block, and not at all at n = k+1, where lam is empty.)
 """
 
 from __future__ import annotations
