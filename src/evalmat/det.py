@@ -160,12 +160,10 @@ def det_cauchy_binet(
     and evaluates the remaining factor as a Jacobi-Trudi determinant in the
     complete homogeneous polynomials on the l(lam) rows of its nonzero parts
     (see schur_minor); W's ascending exponents are reversed to descending,
-    whose (-1)^C(n,2) cost cancels the descending minor's own sign. A row
-    reads H_d up to d = lam_1 + l(lam) - 1 <= k, and at n = k+1 the one
-    subset has lam empty, so the H tables go to depth k for n <= k and to
-    depth 0 at n = k+1. Only subsets inside the support of the
-    coefficients are enumerated, in lexicographic order. Both routes run on
-    the kernel's integer lift and wrap each term over one shared denominator.
+    whose (-1)^C(n,2) cost cancels the descending minor's own sign. Only
+    subsets inside the support of the coefficients are enumerated, in
+    lexicographic order. Both routes run on the kernel's integer lift and
+    wrap each term over one shared denominator.
     """
     n, k = pts.n, p.degree
     if n > k + 1:
@@ -201,6 +199,8 @@ def det_cauchy_binet(
         # Over a = X/D, b = Y/G the minors carry D^(nk - sum I) G^(sum I).
         xa, ga = dom.lift(pts.a)
         xb, gb = dom.lift(pts.b)
+        # a block reads H up to lam_1 + l(lam) - 1 <= k; at n = k+1 the one
+        # subset has lam empty and reads nothing past H_0
         depth = k if n <= k else 0
         h_a = kernel.h_table(xa, depth, mod)
         h_b = kernel.h_table(xb, depth, mod)
