@@ -38,7 +38,6 @@ from .matrix import (
 )
 from .poly import HomogeneousPoly, UnivariatePoly, poly_from_json, poly_to_json
 from .scalar import (
-    DomainMismatchError,
     ScalarDomain,
     SizeMismatchError,
     format_scalar,
@@ -52,9 +51,9 @@ EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_SIZE = 3
 
-# verify runs each Cauchy-Binet route only up to this many support subsets.
-# At n = 10 over F_p, p = 2^31-1, the most that pass, C(15,10) = 3003, took
-# DIRECT 1.0-1.2 s and the H route 0.6 s (k = 14) to 1.0 s (k = 29)
+# Cauchy-Binet expansions run up to this many support subsets; past it verify
+# skips the route and det exits 3. At n = 10 over F_p, p = 2^31-1, C(15,10) =
+# 3003 subsets took DIRECT 1.0-1.2 s and the H route 0.6 s (k = 14) to 1.0 s (k = 29)
 CB_VERIFY_BUDGET = 5000
 
 
@@ -66,47 +65,50 @@ class Instance:
     linear_change: LinearChange | None
 
 
-def load_instance(text: str) -> Instance:
+def _parsed(name: str, parse, *args):
+    """parse(*args), with a ValueError, TypeError or KeyError re-raised as one
+    ValueError prefixed by name: the field, option or text that failed."""
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ValueError(f"instance is not valid JSON: {e}") from e
+        return parse(*args)
+    except KeyError as e:
+        raise ValueError(f"{name}: missing {e}") from e
+    except (ValueError, TypeError) as e:
+        raise ValueError(f"{name}: {e}") from e
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(s) for s in text.split(",")]
+
+
+def _linear_change(raw, domain: ScalarDomain) -> LinearChange:
+    vals = parse_scalars(raw, domain, "linear_change")
+    if len(vals) != 4:
+        raise ValueError("need exactly four scalars (alpha, beta, gamma, delta)")
+    return LinearChange(*vals)
+
+
+def load_instance(text: str) -> Instance:
+    obj = _parsed("instance is not valid JSON", json.loads, text)
     if not isinstance(obj, dict):
         raise ValueError("instance must be a JSON object")
 
-    def field(name, required=True):
+    def field(name):
         if name not in obj:
-            if required:
-                raise ValueError(f"field '{name}': missing")
-            return None
+            raise ValueError(f"field '{name}': missing")
         return obj[name]
 
-    try:
-        domain = parse_domain(field("domain"))
-    except (ValueError, TypeError) as e:
-        raise ValueError(f"field 'domain': {e}") from e
-    try:
-        poly = poly_from_json(field("poly"), domain)
-    except (ValueError, TypeError, KeyError) as e:
-        raise ValueError(f"field 'poly': {e}") from e
-    try:
-        a = parse_scalars(field("a"), domain, "a")
-        b = parse_scalars(field("b"), domain, "b")
-        pts = PointVectors(a, b, domain)
-    except (ValueError, TypeError) as e:
-        raise ValueError(f"field 'a'/'b': {e}") from e
+    domain = _parsed("field 'domain'", parse_domain, field("domain"))
+    poly = _parsed("field 'poly'", poly_from_json, field("poly"), domain)
+    a, b = field("a"), field("b")
+    pts = _parsed(
+        "field 'a'/'b'",
+        lambda: PointVectors(parse_scalars(a, domain, "a"), parse_scalars(b, domain, "b"), domain),
+    )
     if pts.n == 0:
         raise SizeMismatchError("need at least one evaluation point")
     change = None
-    raw_change = field("linear_change", required=False)
-    if raw_change is not None:
-        try:
-            vals = parse_scalars(raw_change, domain, "linear_change")
-            if len(vals) != 4:
-                raise ValueError("need exactly four scalars (alpha, beta, gamma, delta)")
-            change = LinearChange(*vals)
-        except (ValueError, TypeError) as e:
-            raise ValueError(f"field 'linear_change': {e}") from e
+    if obj.get("linear_change") is not None:
+        change = _parsed("field 'linear_change'", _linear_change, obj["linear_change"], domain)
     return Instance(domain, poly, pts, change)
 
 
@@ -151,6 +153,11 @@ def cmd_det(args) -> int:
     elif method == "borderline":
         report = det_borderline(p, pts)
     else:
+        s = support_subsets(p, pts.n)
+        if s > CB_VERIFY_BUDGET:
+            raise SizeMismatchError(
+                f"Cauchy-Binet expansion over {s} support subsets > limit {CB_VERIFY_BUDGET}"
+            )
         report = det_cauchy_binet(p, pts, DIRECT if method == "cb-direct" else H_ROUTE)
     out = {"domain": inst.domain.name}
     out.update(report_to_json(report, include_terms=args.show_terms))
@@ -186,10 +193,9 @@ def _engine_values(inst: Instance):
 def cmd_verify(args) -> int:
     inst = _read_instance(args)
     # every input check (--expect, linear_change) comes before any engine runs
-    try:
-        expected = None if args.expect is None else parse_scalar(args.expect, inst.domain)
-    except ValueError as e:
-        raise ValueError(f"--expect: {e}") from e
+    expected = None
+    if args.expect is not None:
+        expected = _parsed("--expect", parse_scalar, args.expect, inst.domain)
     prediction = None
     if inst.linear_change is not None:
         if not isinstance(inst.poly, UnivariatePoly):
@@ -256,10 +262,7 @@ def _resolve_seed(args) -> int:
 
 def cmd_ffprob(args) -> int:
     if args.coeffs:
-        try:
-            coeffs = tuple(int(c) for c in args.coeffs.split(","))
-        except ValueError as e:
-            raise ValueError(f"--coeffs: {e}") from e
+        coeffs = tuple(_parsed("--coeffs", _int_list, args.coeffs))
         if len(coeffs) != args.k + 1:
             raise ValueError(f"--coeffs needs k+1 = {args.k + 1} entries, got {len(coeffs)}")
     else:
@@ -276,16 +279,10 @@ def cmd_ffprob(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    try:
-        sizes = [int(s) for s in args.sizes.split(",")]
-    except ValueError as e:
-        raise ValueError(f"--sizes: {e}") from e
+    sizes = _parsed("--sizes", _int_list, args.sizes)
     if any(n < 1 for n in sizes):
         raise ValueError("bench sizes must be >= 1")
-    try:
-        domain = parse_domain(args.domain)
-    except ValueError as e:
-        raise ValueError(f"--domain: {e}") from e
+    domain = _parsed("--domain", parse_domain, args.domain)
     if args.trials < 1:
         raise ValueError(f"bench --trials must be >= 1, got {args.trials}")
     records = bench_mod.run_bench(sizes, domain, args.trials, _resolve_seed(args))
@@ -362,7 +359,7 @@ def main(argv=None) -> int:
     except bench_mod.BenchMismatchError as e:
         print(f"error: method values disagree: {e}", file=sys.stderr)
         return EXIT_MISMATCH
-    except (DomainMismatchError, ZeroDivisionError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

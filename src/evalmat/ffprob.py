@@ -35,14 +35,21 @@ from . import kernel
 from .scalar import PrimeField, binomial
 
 _GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
 
 
 def mix64(z: int) -> int:
     z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
+
+
+def _rejection_threshold(bound: int) -> int:
+    """The largest multiple of bound in [0, 2^62]: 62-bit draws from it up are rejected."""
+    return (1 << 62) - ((1 << 62) % bound)
 
 
 class SplitMix64:
@@ -58,8 +65,7 @@ class SplitMix64:
         return mix64(self.state)
 
     def next_below(self, bound: int) -> int:
-        # accept only draws below the largest multiple of bound in [0, 2^62)
-        threshold = (1 << 62) - ((1 << 62) % bound)
+        threshold = _rejection_threshold(bound)
         while True:
             u = self.next_uint64() >> 2
             if u < threshold:
@@ -73,17 +79,13 @@ def trial_stream(seed: int, trial: int) -> SplitMix64:
 
 def _trial_draws(seed: int, n: int, p: int, trials: int):
     """Yield each trial's 2n residues a_1..a_n, b_1..b_n: for trial t exactly
-    [trial_stream(seed, t).next_below(p) for _ in range(2n)], with mix64 and
-    the rejection inlined and the seed mix and threshold computed once."""
+    [trial_stream(seed, t).next_below(p) for _ in range(2n)], with the draws'
+    mix64 and rejection inlined and the seed mix and threshold computed once."""
     seed_mix = mix64(seed)
-    threshold = (1 << 62) - ((1 << 62) % p)
-    # mix64's two multipliers, bound to locals as the other constants are
-    m1, m2, gamma, mask = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, _GAMMA, _MASK64
+    threshold = _rejection_threshold(p)
+    m1, m2, gamma, mask = _MIX1, _MIX2, _GAMMA, _MASK64  # locals for the inner loop
     for t in range(trials):
-        z = (t * gamma) & mask
-        z = ((z ^ (z >> 30)) * m1) & mask
-        z = ((z ^ (z >> 27)) * m2) & mask
-        state = seed_mix ^ z ^ (z >> 31)
+        state = seed_mix ^ mix64((t * gamma) & mask)
         draws = []
         for _ in range(2 * n):
             while True:

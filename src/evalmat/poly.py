@@ -12,7 +12,6 @@ from .scalar import (
     Scalar,
     ScalarDomain,
     binomial,
-    domain_of,
     format_scalar,
     normalize_scalars,
     parse_scalars,
@@ -44,10 +43,10 @@ class HomogeneousPoly(Immutable):
         object.__setattr__(self, "domain", dom)
 
     def evaluate(self, x: Scalar, y: Scalar) -> Scalar:
-        """p(x, y) = sum_i coeffs[i] x^(k-i) y^i, computed exactly."""
+        """p(x, y) = sum_i coeffs[i] x^(k-i) y^i, computed exactly in self.domain."""
         k = self.degree
-        xp = _power_table(x, k)
-        yp = _power_table(y, k)
+        xp = _power_table(x, k, self.domain)
+        yp = _power_table(y, k, self.domain)
         acc = self.domain.zero
         for i, a in enumerate(self.coeffs):
             if a:
@@ -127,8 +126,7 @@ class UnivariatePoly(Immutable):
         return f"UnivariatePoly(coeffs={self.coeffs!r})"
 
 
-def _power_table(x: Scalar, k: int) -> list:
-    dom = domain_of(x)
+def _power_table(x: Scalar, k: int, dom: ScalarDomain) -> list:
     powers = [dom.one]
     for _ in range(k):
         powers.append(powers[-1] * x)

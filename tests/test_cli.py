@@ -10,7 +10,7 @@ import pytest
 from evalmat import cli
 from evalmat.bench import BenchMismatchError
 from evalmat.cli import instance_to_json, load_instance, main
-from evalmat.scalar import RATIONAL, PrimeField
+from evalmat.scalar import RATIONAL, DomainMismatchError, PrimeField
 
 
 def run_cli(args, stdin=None):
@@ -357,6 +357,27 @@ def test_verify_budget_skips_cauchy_binet_routes(monkeypatch, capsys):
     assert "  ORACLE == EXPECTED: FAIL (-1 != 7)" in out
 
 
+def test_det_budget_refuses_cauchy_binet_expansion(monkeypatch, capsys):
+    # N2_K2_INSTANCE has 3 support subsets: at a budget of 3 the output is the
+    # unlimited one, at 2 every forced or --show-terms expansion exits 3
+    commands = (
+        ["det", "--method", "cb-direct"],
+        ["det", "--method", "cb-h", "--show-terms"],
+        ["det", "--show-terms"],
+    )
+    unlimited = [run_main_full(monkeypatch, capsys, args, N2_K2_INSTANCE) for args in commands]
+    assert all(code == 0 for code, _, _ in unlimited)
+    monkeypatch.setattr(cli, "CB_VERIFY_BUDGET", 3)
+    assert [run_main_full(monkeypatch, capsys, args, N2_K2_INSTANCE) for args in commands] == unlimited
+    monkeypatch.setattr(cli, "CB_VERIFY_BUDGET", 2)
+    for args in commands:
+        code, out, err = run_main_full(monkeypatch, capsys, args, N2_K2_INSTANCE)
+        assert (code, out) == (3, ""), args
+        assert err == "error: Cauchy-Binet expansion over 3 support subsets > limit 2\n"
+    # auto det without --show-terms dispatches to no expansion, so no limit applies
+    assert run_main(monkeypatch, capsys, ["det"], N2_K2_INSTANCE)[0] == 0
+
+
 def test_verify_large_cauchy_binet_skipped():
     rng = random.Random(17)
     p = 2**31 - 1
@@ -484,6 +505,42 @@ def test_wrongly_typed_field_exit_2(monkeypatch, capsys, path, value, message):
     for command in ("det", "verify", "matrix"):
         code, out, err = run_main_full(monkeypatch, capsys, [command], json.dumps(inst))
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        (("domain",), "field 'domain': missing"),
+        (("poly",), "field 'poly': missing"),
+        (("a",), "field 'a': missing"),
+        (("b",), "field 'b': missing"),
+        (("poly", "coeffs"), "field 'poly': missing 'coeffs'"),
+        (("poly", "degree"), "field 'poly': missing 'degree'"),
+    ],
+    ids=["domain", "poly", "a", "b", "coeffs", "degree"],
+)
+def test_missing_field_named_once_exit_2(monkeypatch, capsys, path, message):
+    # was `field 'domain': field 'domain': missing`, and `field 'poly': 'coeffs'`
+    inst = json.loads(json.dumps(INSTANCE))
+    target = inst
+    for key in path[:-1]:
+        target = target[key]
+    del target[path[-1]]
+    for command in ("det", "verify", "matrix"):
+        code, out, err = run_main_full(monkeypatch, capsys, [command], json.dumps(inst))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("error", [ZeroDivisionError, DomainMismatchError])
+def test_engine_defect_is_not_an_input_error(monkeypatch, capsys, error):
+    # every scalar is parsed into the instance's one domain, so only a defect
+    # raises these past the input edge: it surfaces, not as exit 2
+    def broken(*args):
+        raise error("defect")
+
+    monkeypatch.setattr(cli, "det_structured", broken)
+    with pytest.raises(error, match="defect"):
+        run_main(monkeypatch, capsys, ["det"], json.dumps(INSTANCE))
 
 
 def test_bench_trials_below_one_exit_2(monkeypatch, capsys):

@@ -134,6 +134,15 @@ def test_univariate_evaluate():
     assert f.coefficient(2) == 1
 
 
+def test_homogeneous_evaluate_int_points_over_fp():
+    # ints coerce into the polynomial's domain, as UnivariatePoly.evaluate does
+    F = PrimeField(101)
+    p = HomogeneousPoly(2, [1, 1, 1], F)
+    assert p.evaluate(2, 3) == 19
+    assert p.evaluate(F.from_int(2), F.from_int(3)) == 19
+    assert UnivariatePoly([1, 2, 3], F).evaluate(2) == 17
+
+
 def test_domain_mixing_rejected():
     with pytest.raises(DomainMismatchError):
         HomogeneousPoly(1, [Fraction(1), F7.one])
