@@ -305,7 +305,7 @@ def _sum_form_degree(f: UnivariatePoly, n: int, what: str) -> int:
     """deg f, after checking the sum form's closed-form regime n = deg f + 1."""
     k = f.degree
     if k < 0:
-        raise ValueError("zero polynomial has no leading coefficient")
+        raise SizeMismatchError("zero polynomial has no leading coefficient")
     if n != k + 1:
         raise SizeMismatchError(f"{what} needs n = deg f + 1, got n={n}, deg={k}")
     return k

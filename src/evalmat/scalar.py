@@ -98,21 +98,8 @@ class FpElement(Immutable):
         object.__setattr__(self, "value", value % field.p)
         object.__setattr__(self, "field", field)
 
-    def _coerce(self, other) -> "FpElement | None":
-        if isinstance(other, FpElement):
-            if other.field.p != self.field.p:
-                raise DomainMismatchError(
-                    f"mixed moduli: F_{self.field.p} and F_{other.field.p}"
-                )
-            return other
-        if isinstance(other, int):
-            return FpElement(other, self.field)
-        if isinstance(other, Fraction):
-            raise DomainMismatchError("cannot mix rational and F_p scalars")
-        return None
-
     def __add__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other, self.field)
         if other is None:
             return NotImplemented
         return FpElement(self.value + other.value, self.field)
@@ -120,19 +107,19 @@ class FpElement(Immutable):
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other, self.field)
         if other is None:
             return NotImplemented
         return FpElement(self.value - other.value, self.field)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other, self.field)
         if other is None:
             return NotImplemented
         return FpElement(other.value - self.value, self.field)
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other, self.field)
         if other is None:
             return NotImplemented
         return FpElement(self.value * other.value, self.field)
@@ -140,13 +127,13 @@ class FpElement(Immutable):
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other, self.field)
         if other is None:
             return NotImplemented
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other, self.field)
         if other is None:
             return NotImplemented
         return other * self.inverse()
@@ -301,41 +288,38 @@ def shared_domain(*objs) -> ScalarDomain:
     return dom
 
 
-def normalize_scalars(values: Iterable, domain: ScalarDomain | None = None):
-    """Coerce a sequence into one domain.
+def _coerce(x, domain: ScalarDomain):
+    """x in domain: an int converted into it, a scalar of domain unchanged, a
+    scalar of another domain a DomainMismatchError, anything else None."""
+    if isinstance(x, int):
+        return domain.from_int(x)
+    if isinstance(x, FpElement):
+        owner = x.field
+    elif isinstance(x, Fraction):
+        owner = RATIONAL
+    else:
+        return None
+    if owner is not domain and owner != domain:
+        raise DomainMismatchError(f"cannot mix {owner.name} and {domain.name}")
+    return x
 
-    ints become Fraction (or field elements when a PrimeField is given or
-    inferred); mixing Fraction with FpElement, or two different moduli,
-    raises DomainMismatchError. Returns (domain, tuple). Empty input yields
-    the given domain or RATIONAL.
+
+def normalize_scalars(values: Iterable, domain: ScalarDomain | None = None):
+    """Coerce a sequence into one domain: the given one, else the domain of
+    the first value that is not an int (RATIONAL if there is none).
+
+    ints are converted; a scalar of another domain raises DomainMismatchError
+    and a non-scalar TypeError. Returns (domain, tuple).
     """
     vals = list(values)
     if domain is None:
-        for v in vals:
-            if isinstance(v, FpElement):
-                domain = v.field
-                break
-            if isinstance(v, Fraction):
-                domain = RATIONAL
-                break
-        else:
-            domain = RATIONAL
+        domain = next((domain_of(v) for v in vals if not isinstance(v, int)), RATIONAL)
     out = []
     for v in vals:
-        if isinstance(v, int):
-            out.append(domain.from_int(v))
-        elif isinstance(v, Fraction):
-            if not isinstance(domain, RationalDomain):
-                raise DomainMismatchError("cannot mix rational and F_p scalars")
-            out.append(v)
-        elif isinstance(v, FpElement):
-            if not isinstance(domain, PrimeField) or v.field.p != domain.p:
-                raise DomainMismatchError(
-                    f"scalar from {v.field.name} does not belong to {domain.name}"
-                )
-            out.append(v)
-        else:
+        x = _coerce(v, domain)
+        if x is None:
             raise TypeError(f"not a scalar: {v!r}")
+        out.append(x)
     return domain, tuple(out)
 
 

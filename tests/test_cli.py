@@ -473,6 +473,20 @@ def test_verify_checks_linear_change_before_any_engine(
     assert err == f"error: {message}\n"
 
 
+def test_zero_sum_form_exit_3(monkeypatch, capsys):
+    # the zero polynomial has no degree, so no n is deg f + 1: the commands that
+    # need that regime exit 3, as a nonzero sum form at the wrong n does
+    zero = {"domain": "rational", "poly": {"kind": "sum_form", "coeffs": ["0", "0"]}, "a": ["1"], "b": ["2"]}
+    changed = dict(zero, linear_change=["1", "0", "1", "1"])
+    failed = (3, "", "error: zero polynomial has no leading coefficient\n")
+    assert run_main_full(monkeypatch, capsys, ["det", "--method", "sum-form"], json.dumps(zero)) == failed
+    assert run_main_full(monkeypatch, capsys, ["verify"], json.dumps(changed)) == failed
+    code, out, err = run_main_full(monkeypatch, capsys, ["det"], json.dumps(zero))
+    assert (code, json.loads(out), err) == (0, {"domain": "rational", "value": "0", "method": "VANISH_RANK"}, "")
+    code, out, err = run_main_full(monkeypatch, capsys, ["verify"], json.dumps(zero))
+    assert (code, out.splitlines()[-1], err) == (0, "verification: PASS", "")
+
+
 INSTANCE = {
     "domain": "rational",
     "poly": {"kind": "homogeneous", "degree": 1, "coeffs": ["1", "2"]},

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from evalmat.matrix import DenseMatrix, PointVectors
+from evalmat.matrix import DenseMatrix, PointVectors, evaluation_matrix
 from evalmat.poly import HomogeneousPoly, UnivariatePoly
 from evalmat.scalar import (
     RATIONAL,
@@ -276,3 +276,72 @@ def test_parse_scalar_zero_denominator_is_value_error(text):
     # Fraction raises ZeroDivisionError; the CLI reports ValueErrors per field
     with pytest.raises(ValueError, match="zero denominator in"):
         parse_scalar(text, RATIONAL)
+
+
+def _via_evaluation_matrix(dom, x):
+    # the constant polynomial x over its own domain (an int's is dom), on
+    # points over dom: the domains meet in evaluation_matrix
+    p = HomogeneousPoly(0, [x], dom if isinstance(x, int) else None)
+    return evaluation_matrix(p, PointVectors([1], [1], dom)).entries[0][0]
+
+
+def _operator(op):
+    return lambda dom, x: op(dom.from_int(5), x)
+
+
+# every way a value enters a scalar domain; FpElement's operators are entered
+# with an F_p domain only (Fraction arithmetic is Python's)
+DOMAIN_ENTRIES = {
+    "y + x": _operator(lambda y, x: y + x),
+    "x + y": _operator(lambda y, x: x + y),
+    "y - x": _operator(lambda y, x: y - x),
+    "x - y": _operator(lambda y, x: x - y),
+    "y * x": _operator(lambda y, x: y * x),
+    "x * y": _operator(lambda y, x: x * y),
+    "y / x": _operator(lambda y, x: y / x),
+    "x / y": _operator(lambda y, x: x / y),
+    "normalize_scalars(domain)": lambda dom, x: normalize_scalars([x], dom)[1][0],
+    "normalize_scalars": lambda dom, x: normalize_scalars([dom.one, x])[1][1],
+    "PointVectors": lambda dom, x: PointVectors([dom.one], [x]).b[0],
+    "evaluation_matrix": _via_evaluation_matrix,
+}
+
+# (domain, value, what it enters as: a scalar, a "cannot mix" pair, or TypeError)
+DOMAIN_CASES = {
+    "int into F_7": (F7, 10, F7.from_int(3)),
+    "int into Q": (RATIONAL, 10, Fraction(10)),
+    "second PrimeField(7)": (F7, PrimeField(7).from_int(3), F7.from_int(3)),
+    "Fraction into F_7": (F7, Fraction(1, 2), ("rational", "fp:7")),
+    "F_7 into Q": (RATIONAL, F7.from_int(3), ("fp:7", "rational")),
+    "F_7 into F_101": (F101, F7.from_int(3), ("fp:7", "fp:101")),
+    "float into F_7": (F7, 1.5, TypeError),
+    "float into Q": (RATIONAL, 1.5, TypeError),
+    "str into F_7": (F7, "3", TypeError),
+    "str into Q": (RATIONAL, "3", TypeError),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, case",
+    [
+        pytest.param(entry, case, id=f"{entry}-{case}")
+        for entry in DOMAIN_ENTRIES
+        for case, (dom, _, _) in DOMAIN_CASES.items()
+        if dom != RATIONAL or entry[0] not in "xy"
+    ],
+)
+def test_one_scalar_domain_rule(entry, case):
+    enter = DOMAIN_ENTRIES[entry]
+    dom, x, outcome = DOMAIN_CASES[case]
+    if outcome is TypeError:
+        with pytest.raises(TypeError) as info:
+            enter(dom, x)
+        assert not isinstance(info.value, DomainMismatchError)
+    elif isinstance(outcome, tuple):
+        a, b = outcome
+        # an operator names its own field last, whichever side it is on
+        with pytest.raises(DomainMismatchError, match=f"^cannot mix ({a} and {b}|{b} and {a})$"):
+            enter(dom, x)
+    else:
+        got = enter(dom, x)
+        assert got == enter(dom, outcome) and domain_of(got) == dom
