@@ -86,7 +86,8 @@ class LinearChange:
 
 def oracle_det(p: HomogeneousPoly | UnivariatePoly, pts: PointVectors) -> DetReport:
     """Brute-force determinant of A (the independent check): its integer
-    image, eliminated; over Z by CRT from kernel.MULTIMODULAR_MIN rows on."""
+    image, eliminated; over Z by CRT from kernel.MULTIMODULAR_MIN rows on,
+    modulo products of up to kernel.MULTIMODULAR_GROUP primes."""
     rows, row_den, col_den, dom = evaluation_image(p, pts)
     if dom.modulus is None and len(rows) >= kernel.MULTIMODULAR_MIN:
         num = kernel.det_multimodular(rows)

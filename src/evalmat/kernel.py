@@ -1,7 +1,8 @@
 """Integer kernels behind every engine.
 
 Every function takes plain int lists and ``mod``: None for exact arithmetic
-over Z, a prime p for F_p (inputs and results in [0, p)). The engines stay
+over Z, a prime p for F_p (inputs and results in [0, p)); ``det`` also takes
+a product of distinct primes (see the last paragraph). The engines stay
 on this integer image: they build a matrix as int rows with its row and
 column denominators and divide once by their product at the end.
 Fraction/FpElement, and the DenseMatrix that holds them, appear only at the
@@ -31,20 +32,28 @@ code runs, and it stays the reference the packed code is tested against.
 Multimodular determinant over Z. Bareiss' intermediate integers are the
 leading minors of the matrix, so its cost follows their size, not only
 that of the result. ``det_multimodular`` instead takes det mod 62-bit
-primes p_1 > p_2 > ... (downward from 2^62, found on first use) with the
-F_p ``det`` and joins the residues by incremental CRT: x += M ((r_i - x) /
-M mod p_i), M *= p_i. It stops once M exceeds 2H, for H the smaller of the
-row and column Hadamard bounds (the products of the row or column
-Euclidean norms) >= |det|, and returns the residue of x in (-M/2, M/2].
-The result is exact and deterministic: every prime up to the bound is
-used, and none is skipped on an early agreement. Its cost follows H, so
-it pays only where Bareiss' leading minors grow: on the evaluation matrix
-A from about MULTIMODULAR_MIN rows on (n = 29, 20-bit points: about 470
-against 850 ms), which is why only the oracle uses it. W's ascending
-powers keep Bareiss' minors small while H stays large: at n = 29, W took
-75 ms by Bareiss against 250 ms by CRT. (The Jacobi-Trudi determinants of
-the Cauchy-Binet H route reach this kernel only as their l(lam) x l(lam)
-block, and not at all at n = k+1, where lam is empty.)
+primes p_1 > p_2 > ... (downward from 2^62, found on first use) and joins
+the residues by incremental CRT: x += M ((r - x) / M mod q), M *= q. It
+stops once M exceeds 2H, for H the smaller of the row and column Hadamard
+bounds (the products of the row or column Euclidean norms) >= |det|, and
+returns the residue of x in (-M/2, M/2]. The result is exact and
+deterministic: every prime up to the bound is used, and none is skipped on
+an early agreement. Each modulus q is the product of up to
+MULTIMODULAR_GROUP consecutive primes, eliminated at once by the same
+``det``: a row operation on a few wide slots costs less than the
+interpreted overhead of one elimination per prime. A group stops taking
+primes where one prime at a time would stop, so M and the primes used do
+not depend on the group size. Elimination over Z/q is exact while every
+pivot is a unit mod q; a pivot that shares a prime with q makes
+pow(pivot, -1, q) raise ValueError, and that group is then redone prime by
+prime. The cost follows H, so the route pays only where Bareiss' leading
+minors grow: on the evaluation matrix A from MULTIMODULAR_MIN rows on
+(n = 29, 20-bit points: about 330 against 940 ms), which is why only the
+oracle uses it. W's ascending powers keep Bareiss' minors small while H
+stays large: at n = 29, W took 75 ms by Bareiss against 250 ms by CRT one
+prime at a time. (The Jacobi-Trudi determinants of the Cauchy-Binet H
+route reach this kernel only as their l(lam) x l(lam) block, and not at
+all at n = k+1, where lam is empty.)
 """
 
 from __future__ import annotations
@@ -60,7 +69,11 @@ PACK_MIN = 16
 
 # oracle_det eliminates integer images over Z by det_multimodular from this
 # many rows on, and by Bareiss below; see the crossover table in CHANGES.md
-MULTIMODULAR_MIN = 24
+MULTIMODULAR_MIN = 21
+
+# det_multimodular eliminates modulo the product of this many consecutive
+# primes at a time; see the group-size table in CHANGES.md
+MULTIMODULAR_GROUP = 4
 
 
 def powers(xs: list[int], ds: list[int], k: int, mod: int | None = None) -> list[list[int]]:
@@ -287,9 +300,11 @@ def _prime(i: int) -> int:
 
 
 def det_multimodular(a: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by CRT over det mod p_i; a is
-    left as it is. It takes primes until their product M exceeds twice the
-    Hadamard bound H >= |det|, so the symmetric residue mod M is det itself."""
+    """Determinant of a square integer matrix by CRT over det mod q_j; a is
+    left as it is. Each q_j is the product of up to MULTIMODULAR_GROUP
+    consecutive primes p_i, and primes are taken until their product M
+    exceeds twice the Hadamard bound H >= |det|, so the symmetric residue
+    mod M is det itself."""
     bound_sq = min(
         math.prod(sum(map(mul, row, row)) for row in a),
         math.prod(sum(map(mul, col, col)) for col in zip(*a)),
@@ -297,9 +312,20 @@ def det_multimodular(a: list[list[int]]) -> int:
     limit = math.isqrt(4 * bound_sq)  # M > limit  <=>  M > 2 H for integer M
     x, m, i = 0, 1, 0
     while m <= limit:
-        p = _prime(i)
-        r = det([[v % p for v in row] for row in a], p)
-        x += m * ((r - x % p) * pow(m % p, -1, p) % p)
-        m *= p
-        i += 1
+        # the next prime joins the group only where one prime at a time
+        # would still take it, so M and the primes used stay the same
+        q = _prime(i)
+        group = [q]
+        while len(group) < MULTIMODULAR_GROUP and m * q <= limit:
+            group.append(_prime(i + len(group)))
+            q *= group[-1]
+        rows = [[v % q for v in row] for row in a]
+        try:
+            residues = [(det(rows, q), q)]
+        except ValueError:  # a pivot that is no unit mod q: prime by prime
+            residues = [(det([[v % p for v in row] for row in a], p), p) for p in group]
+        for r, p in residues:
+            x += m * ((r - x % p) * pow(m % p, -1, p) % p)
+            m *= p
+        i += len(group)
     return x - m if 2 * x > m else x

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evalmat import kernel
 from evalmat.det import (
     BORDERLINE,
     CAUCHY_BINET,
@@ -665,15 +666,13 @@ def test_oracle_builds_no_dense_matrix(monkeypatch):
         assert oracle_det(p, pts).value == expected
 
 
-@pytest.mark.parametrize("n", range(22, 31))
+@pytest.mark.parametrize("n", range(kernel.MULTIMODULAR_MIN - 2, kernel.MULTIMODULAR_MIN + 7))
 def test_oracle_over_q_matches_bareiss_around_multimodular_min(monkeypatch, n):
     # from kernel.MULTIMODULAR_MIN rows on the oracle runs the CRT route;
     # n cycles through both kinds and through integer and num/den points
-    import evalmat.kernel as kernel_mod
-
     calls = []
-    crt = kernel_mod.det_multimodular
-    monkeypatch.setattr(kernel_mod, "det_multimodular", lambda a: calls.append(a) or crt(a))
+    crt = kernel.det_multimodular
+    monkeypatch.setattr(kernel, "det_multimodular", lambda a: calls.append(a) or crt(a))
     rng = random.Random(2000 + n)
     den = 1 if n // 2 % 2 else 6
 
@@ -689,7 +688,7 @@ def test_oracle_over_q_matches_bareiss_around_multimodular_min(monkeypatch, n):
     p = HomogeneousPoly(k, vec(k + 1)) if n % 2 else UnivariatePoly(vec(k + 1))
     value = oracle_det(p, pts).value
     assert value == bareiss_det(evaluation_matrix(p, pts)) and value != 0
-    assert len(calls) == (n >= kernel_mod.MULTIMODULAR_MIN)
+    assert len(calls) == (n >= kernel.MULTIMODULAR_MIN)
 
 
 @pytest.mark.parametrize("field", [None, PrimeField(2), PrimeField(3), PrimeField(2**31 - 1)])

@@ -2,9 +2,13 @@
 from PACK_MIN rows on. The packed functions are called directly and the
 public ones with packing switched off, so both routes run at every size;
 the public tests check the dispatch around PACK_MIN against the closed
-forms. The multimodular determinant over Z is checked against Bareiss."""
+forms. The multimodular determinant over Z is checked against Bareiss, and
+its grouped moduli against the primes one at a time."""
 
 import hashlib
+import io
+import json
+import math
 import random
 import subprocess
 import sys
@@ -15,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evalmat import kernel
+from evalmat.cli import main
 from evalmat.det import det_borderline, det_sum_form
 from evalmat.matrix import PointVectors, bareiss_det, evaluation_matrix
 from evalmat.poly import HomogeneousPoly, UnivariatePoly
@@ -206,7 +211,7 @@ def test_multimodular_matches_bareiss(data):
     # Bareiss stays cheap
     low = kernel.MULTIMODULAR_MIN
     n = data.draw(st.sampled_from([0, 1, 2, 3, 5, 8, low - 1, low]))
-    bits = data.draw(st.sampled_from([1, 8] if n >= low - 1 else [1, 8, 64, 640]))
+    bits = data.draw(st.sampled_from([1, 8, 64] if n >= low - 1 else [1, 8, 64, 640]))
     rng = data.draw(st.randoms(use_true_random=False))
     a = [[rng.randrange(-(2**bits), 2**bits + 1) for _ in range(n)] for _ in range(n)]
     expected = kernel.det([row[:] for row in a])
@@ -225,3 +230,125 @@ def test_multimodular_matches_bareiss(data):
     zero_row = a[:i] + [[0] * n] + a[i + 1 :]
     zero_col = [row[:j] + [0] + row[j + 1 :] for row in a]
     assert kernel.det_multimodular(zero_row) == kernel.det_multimodular(zero_col) == 0
+
+
+# odd primes from 3 up, in place of kernel._prime's: a pivot often shares
+# one of them with its group's modulus
+SMALL_PRIMES = [q for q in range(3, 20_000, 2) if is_prime(q)]
+
+
+def spy_det(patcher):
+    """Record the modulus of every kernel.det call and whether it raised."""
+    calls, det = [], kernel.det
+
+    def spy(a, mod=None):
+        try:
+            out = det(a, mod)
+        except ValueError:
+            calls.append((mod, "raised"))
+            raise
+        calls.append((mod, "ok"))
+        return out
+
+    patcher.setattr(kernel, "det", spy)
+    return calls
+
+
+def one_prime_moduli(a):
+    """The primes that CRT one prime at a time takes for a: until their
+    product exceeds twice the smaller Hadamard bound."""
+    bound_sq = min(
+        math.prod(sum(x * x for x in row) for row in a),
+        math.prod(sum(x * x for x in col) for col in zip(*a)),
+    )
+    primes, m = [], 1
+    while m * m <= 4 * bound_sq:
+        primes.append(kernel._prime(len(primes)))
+        m *= primes[-1]
+    return primes
+
+
+def test_multimodular_groups_take_the_one_prime_rules_primes(monkeypatch):
+    # 64-bit entries at MULTIMODULAR_MIN rows need several full groups and
+    # one partial one; the groups must cover exactly the one-prime rule's
+    # primes, in order, so M is the same
+    n, g = kernel.MULTIMODULAR_MIN, kernel.MULTIMODULAR_GROUP
+    rng = random.Random(13)
+    partial = 0
+    for _ in range(4):
+        a = [[rng.randrange(-(2**64), 2**64 + 1) for _ in range(n)] for _ in range(n)]
+        primes = one_prime_moduli(a)
+        expected = kernel.det([row[:] for row in a])
+        with monkeypatch.context() as m:
+            calls = spy_det(m)
+            assert kernel.det_multimodular(a) == expected
+        groups = [primes[i : i + g] for i in range(0, len(primes), g)]
+        assert len(groups) > 2 and calls == [(math.prod(group), "ok") for group in groups]
+        partial += len(groups[-1]) < g
+    assert partial
+
+
+def test_multimodular_redoes_a_group_prime_by_prime(monkeypatch):
+    # the first pivot is a nonzero multiple of the first prime, so it is no
+    # unit modulo the first group's product: that group is redone one prime
+    # at a time, the next group is whole again, and the value is Bareiss'
+    n, g = kernel.MULTIMODULAR_MIN, kernel.MULTIMODULAR_GROUP
+    rng = random.Random(29)
+    a = [[rng.randrange(-(2**64), 2**64 + 1) for _ in range(n)] for _ in range(n)]
+    a[0][0] = 3 * kernel._prime(0)
+    primes = one_prime_moduli(a)
+    expected = kernel.det([row[:] for row in a])
+    assert expected != 0 and len(primes) > 2 * g
+    calls = spy_det(monkeypatch)
+    assert kernel.det_multimodular(a) == expected
+    first = primes[:g]
+    assert calls[: g + 2] == [
+        (math.prod(first), "raised"),
+        *[(p, "ok") for p in first],
+        (math.prod(primes[g : 2 * g]), "ok"),
+    ]
+    assert all(outcome == "ok" for _, outcome in calls[1:])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_multimodular_small_primes_match_bareiss(data):
+    # with the moduli 3 * 5 * 7 * 11, 13 * 17 * 19 * 23, ... non-unit
+    # pivots are frequent, on both sides of PACK_MIN; every one must fall
+    # back to the primes, exactly
+    n = data.draw(st.sampled_from([1, 2, 3, 5, 8, kernel.PACK_MIN - 1, kernel.PACK_MIN + 2]))
+    bits = data.draw(st.sampled_from([1, 4, 16]))
+    kind = data.draw(st.sampled_from(["random", "rank-deficient", "zero row"]))
+    rng = data.draw(st.randoms(use_true_random=False))
+    a = [[rng.randrange(-(2**bits), 2**bits + 1) for _ in range(n)] for _ in range(n)]
+    i = rng.randrange(n)
+    if kind == "rank-deficient":
+        weights = [0 if r == i else rng.randrange(-3, 4) for r in range(n)]
+        a[i] = [sum(map(mul, weights, col)) for col in zip(*a)]
+    elif kind == "zero row":
+        a[i] = [0] * n
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(kernel, "_prime", SMALL_PRIMES.__getitem__)
+        got = kernel.det_multimodular(a)
+    assert got == kernel.det([row[:] for row in a])
+
+
+def test_verify_over_q_on_small_primes_passes(monkeypatch, capsys):
+    # the CLI's oracle over Q at MULTIMODULAR_MIN rows on small primes: the
+    # non-unit pivots fall back inside the kernel, and no ValueError reaches
+    # main() as an input error (exit 2)
+    n = kernel.MULTIMODULAR_MIN
+    rng = random.Random(31)
+    inst = {
+        "domain": "rational",
+        "poly": {"kind": "homogeneous", "degree": n - 1, "coeffs": [str(rng.randrange(1, 10)) for _ in range(n)]},
+        "a": [str(x) for x in rng.sample(range(-40, 40), n)],
+        "b": [str(x) for x in rng.sample(range(-40, 40), n)],
+    }
+    monkeypatch.setattr(kernel, "_prime", SMALL_PRIMES.__getitem__)
+    calls = spy_det(monkeypatch)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(inst)))
+    code = main(["verify"])
+    out = capsys.readouterr().out
+    assert code == 0 and out.splitlines()[-1] == "verification: PASS", out
+    assert "ORACLE" in out and any(outcome == "raised" for _, outcome in calls)
