@@ -20,9 +20,14 @@ streams with mix64 and the rejection inlined (_trial_draws).
 
 A trial with a repeated a_r or b_s has two equal rows or columns, so its
 determinant is zero on either path. Any other trial off the n = k+1
-collision path stays on raw residues: the integer kernel builds
-[f(a_r + b_s)] mod p by Horner and eliminates it mod p, with no scalar
-objects.
+collision path stays on raw ints, with no scalar objects, and takes one of
+two routes (_det_is_zero). A small trial builds [f(a_r + b_s)] over Z by
+Horner, reduces each entry mod p once, runs Bareiss over Z and reduces the
+determinant mod p; this is exact because det(A mod p) = det(A) mod p, and
+Bareiss' divisions are exact, so it needs no inverse mod p. Its integers
+grow with n and with k * bit_length(p), so a trial with n > INTEGER_MAX_N
+or k * bit_length(p) > INTEGER_MAX_BITS is instead built by Horner mod p
+and eliminated mod p by the integer kernel.
 """
 
 from __future__ import annotations
@@ -161,9 +166,32 @@ def exact_borderline_probability(n: int, q: int) -> Fraction:
     return 1 - d * d
 
 
+# _det_is_zero decides a trial over Z while n <= INTEGER_MAX_N and
+# k * bit_length(p) <= INTEGER_MAX_BITS, and mod p past either; see the
+# crossover table in CHANGES.md
+INTEGER_MAX_N = 8
+INTEGER_MAX_BITS = 1300
+
+
 def _det_is_zero(cfg: ExperimentConfig, a: list[int], b: list[int]) -> bool:
+    """Whether det [f(a_r + b_s)] = 0 in F_p. Within the size rule: Horner
+    over Z, each entry reduced mod p once, Bareiss over Z, and the
+    determinant reduced mod p, exact since det(A mod p) = det(A) mod p.
+    Past it: ``kernel.det(kernel.sum_form(coeffs, a, b, p), p)``."""
     p = cfg.modulus
-    return kernel.det(kernel.sum_form(cfg.coeffs, a, b, p), p) == 0
+    if cfg.n > INTEGER_MAX_N or cfg.k * p.bit_length() > INTEGER_MAX_BITS:
+        return kernel.det(kernel.sum_form(cfg.coeffs, a, b, p), p) == 0
+    rc = cfg.coeffs[::-1]
+    rows = []
+    for x in a:
+        row = []
+        for y in b:
+            t, acc = x + y, 0
+            for c in rc:
+                acc = acc * t + c
+            row.append(acc % p)
+        rows.append(row)
+    return kernel.det(rows) % p == 0
 
 
 _ORACLE_SUBSAMPLE = 100
@@ -176,7 +204,8 @@ def estimate_zero_probability(cfg: ExperimentConfig) -> ExperimentResult:
     every path. At n = k+1, det = +-alpha_k^n * prod_i C(k,i) * vdm(a) * vdm(b)
     with alpha_k != 0 mod p, so unless p divides some C(k,i), det = 0 exactly
     when a point repeats and the zero test is this O(n) collision check
-    alone. Otherwise the trials without a repeat compute det by elimination.
+    alone. Otherwise the trials without a repeat are decided by
+    _det_is_zero, over Z or mod p by the size rule.
     Each of the first 100 trials that the collision check decides is
     cross-checked against an elimination determinant.
     """

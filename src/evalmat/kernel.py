@@ -26,8 +26,9 @@ sum is k (p-1)^2; in elimination a row receives at most one multiple of a
 reduced pivot row per step, (p-1)^2 per slot, so rows (p-1)^2 + p bounds
 every slot. Packing and unpacking cost a few interpreted operations per
 entry, which an n x n matrix pays back only from about PACK_MIN rows on;
-below that (the Cauchy-Binet minors, the ffprob trials) the entry-by-entry
-code runs, and it stays the reference the packed code is tested against.
+below that (the Cauchy-Binet minors, and the ffprob trials too large for
+their integer route) the entry-by-entry code runs, and it stays the
+reference the packed code is tested against.
 
 Multimodular determinant over Z. Bareiss' intermediate integers are the
 leading minors of the matrix, so its cost follows their size, not only

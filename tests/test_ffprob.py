@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from evalmat.ffprob import (
     CSV_HEADER,
@@ -16,6 +18,8 @@ from evalmat.ffprob import (
     sz_bound,
     trial_stream,
 )
+
+from oracles import leibniz_det
 
 
 def test_sz_bound_examples():
@@ -247,3 +251,59 @@ def test_repeated_point_cross_check_raises_on_elimination_path(monkeypatch):
     cfg = ExperimentConfig(modulus=7, n=3, coeffs=(1, 2, 3, 4, 5), trials=100, seed=1)
     with pytest.raises(RuntimeError, match="collision shortcut disagrees with oracle on trial"):
         estimate_zero_probability(cfg)
+
+
+
+def _leibniz_is_zero(coeffs, a, b, p):
+    rows = [[sum(c * (x + y) ** i for i, c in enumerate(coeffs)) for y in b] for x in a]
+    return leibniz_det(rows) % p == 0
+
+
+@st.composite
+def zero_test_trials(draw):
+    """(p, coeffs nonzero mod p, a, b), the points partly from a small pool."""
+    p = draw(st.sampled_from([2, 3, 7, 101, P31, P61]))
+    k = draw(st.integers(0, 8))
+    n = draw(st.integers(1, k + 1))
+    coeffs = tuple(draw(st.lists(st.integers(1, p - 1), min_size=k + 1, max_size=k + 1)))
+    pool = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3))
+    point = st.sampled_from(pool) | st.integers(0, p - 1)
+    return p, coeffs, draw(st.lists(point, min_size=n, max_size=n)), draw(st.lists(point, min_size=n, max_size=n))
+
+
+@settings(max_examples=400, deadline=None)
+@given(zero_test_trials(), st.sampled_from(["integer", "past n", "past bits"]))
+# p = 3 divides C(3, 1); det over Z is -35 at the second example, and the
+# reversed polynomial 3 + 2t + t^2 has a zero determinant at the third
+@example((3, (1, 1, 1, 1), [0, 1, 2, 0], [1, 2, 0, 1]), "integer")
+@example((7, (1, 2, 3), [1, 4], [6, 0]), "integer")
+@example((7, (1, 2, 3), [2, 0], [0, 6]), "integer")
+def test_det_is_zero_routes_agree_with_elimination_mod_p(trial, side):
+    """Both sides of _det_is_zero's size rule, reached by patching its
+    constants to the trial's own n and k * bit_length(p) or one below,
+    decide the zero of elimination mod p (and, for n <= 5, of a Leibniz
+    expansion over Z), and the route that ran is the rule's."""
+    import evalmat.ffprob as ffprob_mod
+    from evalmat import kernel
+
+    p, coeffs, a, b = trial
+    n, k = len(a), len(coeffs) - 1
+    expected = kernel.det(kernel.sum_form(list(coeffs), a, b, p), p) == 0
+    if n <= 5:
+        assert _leibniz_is_zero(coeffs, a, b, p) == expected
+    cfg = ExperimentConfig(modulus=p, n=n, coeffs=coeffs, trials=1, seed=0)
+    max_n = n - (side == "past n")
+    max_bits = k * p.bit_length() - (side == "past bits")
+    mods = []
+    real_det = kernel.det
+
+    def spy(rows, mod=None):
+        mods.append(mod)
+        return real_det(rows, mod)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ffprob_mod, "INTEGER_MAX_N", max_n)
+        mp.setattr(ffprob_mod, "INTEGER_MAX_BITS", max_bits)
+        mp.setattr(kernel, "det", spy)
+        assert ffprob_mod._det_is_zero(cfg, a, b) == expected, trial
+    assert mods == [None if side == "integer" else p]
