@@ -253,7 +253,6 @@ def test_repeated_point_cross_check_raises_on_elimination_path(monkeypatch):
         estimate_zero_probability(cfg)
 
 
-
 def _leibniz_is_zero(coeffs, a, b, p):
     rows = [[sum(c * (x + y) ** i for i, c in enumerate(coeffs)) for y in b] for x in a]
     return leibniz_det(rows) % p == 0
@@ -268,14 +267,16 @@ def zero_test_trials(draw):
     coeffs = tuple(draw(st.lists(st.integers(1, p - 1), min_size=k + 1, max_size=k + 1)))
     pool = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3))
     point = st.sampled_from(pool) | st.integers(0, p - 1)
-    return p, coeffs, draw(st.lists(point, min_size=n, max_size=n)), draw(st.lists(point, min_size=n, max_size=n))
+    a = draw(st.lists(point, min_size=n, max_size=n))
+    return p, coeffs, a, draw(st.lists(point, min_size=n, max_size=n))
 
 
 @settings(max_examples=400, deadline=None)
 @given(zero_test_trials(), st.sampled_from(["integer", "past n", "past bits"]))
-# p = 3 divides C(3, 1); det over Z is -35 at the second example, and the
-# reversed polynomial 3 + 2t + t^2 has a zero determinant at the third
-@example((3, (1, 1, 1, 1), [0, 1, 2, 0], [1, 2, 0, 1]), "integer")
+# p = 3 divides C(3, 1) in the first example (det over Z is -260); det over
+# Z is -35 at the second, and the reversed polynomial 3 + 2t + t^2 has a
+# zero determinant at the third
+@example((3, (1, 1, 1, 1), [0, 1, 2], [1, 2, 0]), "integer")
 @example((7, (1, 2, 3), [1, 4], [6, 0]), "integer")
 @example((7, (1, 2, 3), [2, 0], [0, 6]), "integer")
 def test_det_is_zero_routes_agree_with_elimination_mod_p(trial, side):
