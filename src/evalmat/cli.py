@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -223,18 +224,10 @@ def cmd_verify(args) -> int:
         compared = [row for row in group if not isinstance(row[1], str)]
         if len(compared) == 1:
             print(f"  nothing compared: {compared[0][0]} is the only engine run")
-        for i in range(len(compared)):
-            for j in range(i + 1, len(compared)):
-                li, vi = compared[i]
-                lj, vj = compared[j]
-                if vi == vj:
-                    print(f"  {li} == {lj}: PASS")
-                else:
-                    ok = False
-                    print(
-                        f"  {li} == {lj}: FAIL "
-                        f"({format_scalar(vi)} != {format_scalar(vj)})"
-                    )
+        for (li, vi), (lj, vj) in itertools.combinations(compared, 2):
+            ok = ok and vi == vj
+            verdict = "PASS" if vi == vj else f"FAIL ({format_scalar(vi)} != {format_scalar(vj)})"
+            print(f"  {li} == {lj}: {verdict}")
     print("verification:", "PASS" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_MISMATCH
 
@@ -362,7 +355,3 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -165,6 +165,10 @@ def det_cauchy_binet(
     subsets inside the support of the coefficients are enumerated, in
     lexicographic order. Both routes run on the kernel's integer lift and
     wrap each term over one shared denominator.
+
+    Every support subset is listed up front, with no limit (a dense p at
+    n = 10, k = 60 has 9.0e10): a caller should count them with
+    support_subsets first. Only the CLI caps an expansion, at CB_VERIFY_BUDGET.
     """
     n, k = pts.n, p.degree
     if n > k + 1:

@@ -32,9 +32,8 @@ class SingularChangeError(ValueError):
     """The linear change of variables is singular (det B = 0)."""
 
 
-def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient C(n, k); 0 when k > n."""
-    return math.comb(n, k)
+# exact binomial coefficient C(n, k); 0 when k > n
+binomial = math.comb
 
 
 # Trial division by the first twelve primes, then strong probable-prime

@@ -8,6 +8,10 @@ entries. In half the instances the points come partly from a small pool,
 so repeated points and, in F_2 and F_3 (where nk/q > 1), zero
 determinants are common; a random set of coefficients is zeroed, which
 gives random supports, including ones smaller than n.
+
+A second test stays in F_2 and F_3 with n*k > q and n <= k+1 <= 7, and
+draws every point from a pool of at most q residues, so collisions are the
+rule there rather than the exception.
 """
 
 from fractions import Fraction
@@ -55,5 +59,30 @@ def test_cauchy_binet_routes_dispatcher_and_oracle_agree(field, data):
     assert direct.value == h_route.value == expected
     assert direct.subset_terms == h_route.subset_terms
     if n <= 5:
+        entries = [[p.evaluate(x, y) for y in pts.b] for x in pts.a]
+        assert leibniz_det(entries) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([PrimeField(2), PrimeField(3)]), st.data())
+def test_collision_heavy_small_fields_agree(field, data):
+    # n*k > q, and every point comes from a pool of at most q residues, so
+    # repeated points (and zero determinants) are the common case
+    q = field.p
+    n = data.draw(st.integers(1, 7), label="n")
+    k = data.draw(st.integers(max(n - 1, q // n + 1), 6), label="k")
+    coeffs = data.draw(st.lists(scalars(field), min_size=k + 1, max_size=k + 1), label="coeffs")
+    pool = sorted(data.draw(st.sets(st.integers(0, q - 1), min_size=1), label="pool"))
+    point = st.sampled_from(pool).map(field.from_int)
+    a = data.draw(st.lists(point, min_size=n, max_size=n), label="a")
+    b = data.draw(st.lists(point, min_size=n, max_size=n), label="b")
+    p = HomogeneousPoly(k, coeffs, field)
+    pts = PointVectors(a, b, field)
+
+    expected = oracle_det(p, pts).value
+    assert det_structured(p, pts).value == expected
+    assert det_cauchy_binet(p, pts, DIRECT).value == expected
+    assert det_cauchy_binet(p, pts, H_ROUTE).value == expected
+    if n <= 6:
         entries = [[p.evaluate(x, y) for y in pts.b] for x in pts.a]
         assert leibniz_det(entries) == expected

@@ -430,6 +430,82 @@ def test_verify_says_when_nothing_was_compared(monkeypatch, capsys):
     ]
 
 
+def test_verify_transcript_every_pair_in_order(monkeypatch, capsys):
+    # n = k+1: four engines and a wrong --expect give five rows and C(5,2) = 10
+    # pair lines, each row against every later one
+    code, out, err = run_main_full(monkeypatch, capsys, ["verify", "--expect", "7"], BORDERLINE_INSTANCE)
+    assert (code, err) == (1, "")
+    assert out == (
+        "BORDERLINE            -8\n"
+        "CAUCHY_BINET_DIRECT   -8\n"
+        "CAUCHY_BINET_H_ROUTE  -8\n"
+        "ORACLE                -8\n"
+        "EXPECTED              7\n"
+        "  BORDERLINE == CAUCHY_BINET_DIRECT: PASS\n"
+        "  BORDERLINE == CAUCHY_BINET_H_ROUTE: PASS\n"
+        "  BORDERLINE == ORACLE: PASS\n"
+        "  BORDERLINE == EXPECTED: FAIL (-8 != 7)\n"
+        "  CAUCHY_BINET_DIRECT == CAUCHY_BINET_H_ROUTE: PASS\n"
+        "  CAUCHY_BINET_DIRECT == ORACLE: PASS\n"
+        "  CAUCHY_BINET_DIRECT == EXPECTED: FAIL (-8 != 7)\n"
+        "  CAUCHY_BINET_H_ROUTE == ORACLE: PASS\n"
+        "  CAUCHY_BINET_H_ROUTE == EXPECTED: FAIL (-8 != 7)\n"
+        "  ORACLE == EXPECTED: FAIL (-8 != 7)\n"
+        "verification: FAIL\n"
+    )
+
+
+def test_verify_transcript_skipped_rows_not_compared(monkeypatch, capsys):
+    # n = 2, k = 3, dense support: S = C(4,2) = 6 subsets, one over the budget
+    inst = json.dumps(
+        {
+            "domain": "fp:101",
+            "poly": {"kind": "homogeneous", "degree": 3, "coeffs": ["1", "2", "3", "4"]},
+            "a": ["1", "5"],
+            "b": ["2", "7"],
+        }
+    )
+    monkeypatch.setattr(cli, "CB_VERIFY_BUDGET", 5)
+    assert run_main_full(monkeypatch, capsys, ["verify", "--expect", "2"], inst) == (
+        0,
+        "CAUCHY_BINET_DIRECT   SKIPPED (6 subsets > 5)\n"
+        "CAUCHY_BINET_H_ROUTE  SKIPPED (6 subsets > 5)\n"
+        "ORACLE                2\n"
+        "EXPECTED              2\n"
+        "  ORACLE == EXPECTED: PASS\n"
+        "verification: PASS\n",
+        "",
+    )
+
+
+def test_verify_transcript_linear_change_groups(monkeypatch, capsys):
+    # f = 1 + t^2 at n = 3 with (x, y) -> (2x, 3y): the engines and --expect
+    # form one group, the equivariance law a second, each with its own pairs
+    inst = json.dumps(
+        {
+            "domain": "rational",
+            "poly": {"kind": "sum_form", "coeffs": ["1", "0", "1"]},
+            "a": ["0", "1", "3"],
+            "b": ["0", "2", "5"],
+            "linear_change": ["2", "0", "1", "3"],
+        }
+    )
+    assert run_main_full(monkeypatch, capsys, ["verify", "--expect", "-60"], inst) == (
+        1,
+        "SUM_FORM               -360\n"
+        "ORACLE                 -360\n"
+        "EXPECTED               -60\n"
+        "  SUM_FORM == ORACLE: PASS\n"
+        "  SUM_FORM == EXPECTED: FAIL (-360 != -60)\n"
+        "  ORACLE == EXPECTED: FAIL (-360 != -60)\n"
+        "EQUIVARIANT_PREDICTED  -262440\n"
+        "TRANSFORMED_ORACLE     -262440\n"
+        "  EQUIVARIANT_PREDICTED == TRANSFORMED_ORACLE: PASS\n"
+        "verification: FAIL\n",
+        "",
+    )
+
+
 def test_main_runs_handler_replaced_on_module(monkeypatch, capsys):
     # the shared parser must not pin the handlers it saw when it was built:
     # tracers and tests replace cmd_* on the module
