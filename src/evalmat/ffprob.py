@@ -15,24 +15,30 @@ z *= 0x94D049BB133111EB; z ^= z>>31 (all mod 2^64). Field elements come from
 62-bit draws rejected above the largest multiple of p, then reduced mod p.
 Trial t uses its own stream seeded at mix64(seed) XOR mix64(t * gamma);
 within a trial the draw order is a_1..a_n then b_1..b_n. SplitMix64 and
-trial_stream state this specification; the trial loop draws from the same
-streams with mix64 and the rejection inlined (_trial_draws).
+trial_stream state this specification. The trial loop draws from the same
+streams DRAW_BATCH trials at a time (_trial_draws): each trial's stream
+start and its first 2n states sit in the 128-bit lanes of one Python int,
+so each step of mix64 is one big-int operation for the whole batch. A trial
+whose first 2n outputs include a rejected one keeps its accepted outputs
+and draws the rest one at a time from its 2n-th state.
 
 A trial with a repeated a_r or b_s has two equal rows or columns, so its
 determinant is zero on either path. Any other trial off the n = k+1
 collision path stays on raw ints, with no scalar objects, and takes one of
 two routes (_det_is_zero). A small trial builds [f(a_r + b_s)] over Z by
-Horner, reduces each entry mod p once, runs Bareiss over Z and reduces the
-determinant mod p; this is exact because det(A mod p) = det(A) mod p, and
-Bareiss' divisions are exact, so it needs no inverse mod p. Its integers
-grow with n and with k * bit_length(p), so a trial with n > INTEGER_MAX_N
-or k * bit_length(p) > INTEGER_MAX_BITS is instead built by Horner mod p
-and eliminated mod p by the integer kernel.
+Horner, reduces each entry mod p once, takes the determinant over Z (by
+cofactor expansion at n <= 4, by Bareiss above) and reduces it mod p; this
+is exact because det(A mod p) = det(A) mod p, and Bareiss' divisions are
+exact, so it needs no inverse mod p. Its integers grow with n and with
+k * bit_length(p), so a trial with n > INTEGER_MAX_N or
+k * bit_length(p) > INTEGER_MAX_BITS is instead built by Horner mod p and
+eliminated mod p by the integer kernel.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -82,26 +88,78 @@ def trial_stream(seed: int, trial: int) -> SplitMix64:
     return SplitMix64(mix64(seed) ^ mix64((trial * _GAMMA) & _MASK64))
 
 
+# trials per batch of _trial_draws; see the batch table in CHANGES.md
+DRAW_BATCH = 128
+
+
+def _lanes(values, count: int = 1) -> int:
+    """One int whose 128-bit lanes hold the 64-bit values in order, each in
+    count consecutive lanes, the first in the lowest lane."""
+    return int.from_bytes(b"".join(v.to_bytes(16, "little") * count for v in values), "little")
+
+
+def _unlanes(z: int, count: int) -> list[int]:
+    """The low 64 bits of each of z's first count lanes; the inverse of _lanes."""
+    return array("Q", z.to_bytes(16 * count, "little"))[::2].tolist()
+
+
+def _mix64_lanes(z: int, mask: int) -> int:
+    """mix64 of each 128-bit lane of z, where mask holds 2^64 - 1 in every
+    lane: the bits a shift brings in from the next lane are masked off
+    before each product, and a 64-bit value times a 64-bit constant stays in
+    its own lane. mix64 needs none of these masks, and trial_stream calls it
+    once a draw, so it stays without them."""
+    z &= mask
+    z = (z ^ (z >> 30) & mask) * _MIX1 & mask
+    z = (z ^ (z >> 27) & mask) * _MIX2 & mask
+    return z ^ (z >> 31) & mask
+
+
 def _trial_draws(seed: int, n: int, p: int, trials: int):
     """Yield each trial's 2n residues a_1..a_n, b_1..b_n: for trial t exactly
-    [trial_stream(seed, t).next_below(p) for _ in range(2n)], with the draws'
-    mix64 and rejection inlined and the seed mix and threshold computed once."""
+    [trial_stream(seed, t).next_below(p) for _ in range(2n)].
+
+    Up to DRAW_BATCH trials at a time, the stream starts
+    mix64(seed) ^ mix64(t * gamma) and then each trial's first 2n states
+    start + (j+1) * gamma are mixed in 128-bit lanes of one int, state j of
+    trial i in lane j * batch + i. A trial whose 2n outputs are all below the
+    rejection threshold takes them mod p; any other keeps its accepted
+    outputs in order and draws the rest with mix64 and the rejection inlined,
+    from state start + 2n * gamma on."""
     seed_mix = mix64(seed)
     threshold = _rejection_threshold(p)
     m1, m2, gamma, mask = _MIX1, _MIX2, _GAMMA, _MASK64  # locals for the inner loop
-    for t in range(trials):
-        state = seed_mix ^ mix64((t * gamma) & mask)
-        draws = []
-        for _ in range(2 * n):
-            while True:
+    w, size = 2 * n, 0
+    for t0 in range(0, trials, DRAW_BATCH):
+        b = min(DRAW_BATCH, trials - t0)
+        if b != size:  # the first batch and a short last one
+            size = b
+            lane_mask = _lanes([mask], b * w)
+            seeds = _lanes([seed_mix], b)
+            offsets = _lanes(range(b))
+            steps = _lanes([(j + 1) * gamma & mask for j in range(w)], b)
+        indexes = _lanes([t0], b) + offsets
+        starts = _mix64_lanes(indexes * gamma, lane_mask) ^ seeds
+        # block j of b lanes holds the starts plus (j+1) * gamma
+        states = int.from_bytes(starts.to_bytes(16 * b, "little") * w, "little") + steps
+        # the shift moves the next lane's bits only above each lane's low 64
+        outputs = _unlanes(_mix64_lanes(states, lane_mask) >> 2, b * w)
+        if max(outputs) < threshold:
+            residues = [u % p for u in outputs]
+            for i in range(b):
+                yield residues[i::b]
+            continue
+        for i, state in enumerate(_unlanes(starts, b)):
+            draws = [u % p for u in outputs[i::b] if u < threshold]
+            state += w * gamma
+            while len(draws) < w:
                 state = (state + gamma) & mask
                 z = ((state ^ (state >> 30)) * m1) & mask
                 z = ((z ^ (z >> 27)) * m2) & mask
                 u = (z ^ (z >> 31)) >> 2
                 if u < threshold:
-                    break
-            draws.append(u % p)
-        yield draws
+                    draws.append(u % p)
+            yield draws
 
 
 @dataclass(frozen=True)
@@ -173,10 +231,34 @@ INTEGER_MAX_N = 8
 INTEGER_MAX_BITS = 1300
 
 
+def _cofactor_det(m: list[list[int]]) -> int:
+    """The determinant over Z of an n x n matrix, 1 <= n <= 4, by explicit
+    formulas: Sarrus' rule at n = 3, and at n = 4 the Laplace expansion by
+    the 2x2 minors of rows 0-1 against their complements in rows 2-3."""
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    if n == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = m
+    return (
+        (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+        - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+        + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+        + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+        - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+        + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
+    )
+
+
 def _det_is_zero(cfg: ExperimentConfig, a: list[int], b: list[int]) -> bool:
     """Whether det [f(a_r + b_s)] = 0 in F_p. Within the size rule: Horner
-    over Z, each entry reduced mod p once, Bareiss over Z, and the
-    determinant reduced mod p, exact since det(A mod p) = det(A) mod p.
+    over Z, each entry reduced mod p once, the determinant over Z (cofactor
+    expansion at n <= 4, Bareiss above), reduced mod p, exact since
+    det(A mod p) = det(A) mod p.
     Past it: ``kernel.det(kernel.sum_form(coeffs, a, b, p), p)``."""
     p = cfg.modulus
     if cfg.n > INTEGER_MAX_N or cfg.k * p.bit_length() > INTEGER_MAX_BITS:
@@ -191,7 +273,7 @@ def _det_is_zero(cfg: ExperimentConfig, a: list[int], b: list[int]) -> bool:
                 acc = acc * t + c
             row.append(acc % p)
         rows.append(row)
-    return kernel.det(rows) % p == 0
+    return (_cofactor_det(rows) if cfg.n <= 4 else kernel.det(rows)) % p == 0
 
 
 _ORACLE_SUBSAMPLE = 100

@@ -272,6 +272,21 @@ def test_bench_refuses_on_mismatch(monkeypatch):
         bench_mod.run_bench([3], PrimeField(101), trials=1, seed=0)
 
 
+def test_bench_mismatch_exits_1_through_main(monkeypatch, capsys):
+    import evalmat.bench as bench_mod
+    from evalmat.matrix import bareiss_det, evaluation_matrix
+
+    def off_by_one(p, pts):
+        value = bareiss_det(evaluation_matrix(p, pts)) + 1
+        return type("R", (), {"value": value})()
+
+    monkeypatch.setattr(bench_mod, "det_borderline", off_by_one)
+    args = ["bench", "--sizes", "3", "--domain", "fp:101", "--trials", "1", "--seed", "0"]
+    code, out, err = run_main_full(monkeypatch, capsys, args)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: method values disagree: ")
+
+
 def test_instance_roundtrip():
     inst = load_instance(SUM_FORM_INSTANCE)
     assert inst.domain == RATIONAL

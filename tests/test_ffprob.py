@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -5,8 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from evalmat import kernel
 from evalmat.ffprob import (
     CSV_HEADER,
+    DRAW_BATCH,
+    _det_is_zero,
     _trial_draws,
     ExperimentConfig,
     SplitMix64,
@@ -242,6 +246,20 @@ def test_trial_draws_equal_public_stream(p):
             assert list(_trial_draws(seed, n, p, 40)) == expected, (seed, n)
 
 
+@pytest.mark.parametrize("p", [2, 101, P31, P61])
+def test_trial_draws_equal_public_stream_at_batch_edges(p):
+    """Trial counts one short of, at and past one and two batches; at P61
+    about half of all draws are rejected, so trials inside a batch draw
+    past their 2n-th state."""
+    for trials in (DRAW_BATCH - 1, DRAW_BATCH, DRAW_BATCH + 1, 2 * DRAW_BATCH + 1):
+        for n in (1, 3):
+            expected = []
+            for t in range(trials):
+                g = trial_stream(11, t)
+                expected.append([g.next_below(p) for _ in range(2 * n)])
+            assert list(_trial_draws(11, n, p, trials)) == expected, (trials, n)
+
+
 def test_repeated_point_cross_check_raises_on_elimination_path(monkeypatch):
     import evalmat.ffprob as ffprob_mod
 
@@ -283,9 +301,10 @@ def test_det_is_zero_routes_agree_with_elimination_mod_p(trial, side):
     """Both sides of _det_is_zero's size rule, reached by patching its
     constants to the trial's own n and k * bit_length(p) or one below,
     decide the zero of elimination mod p (and, for n <= 5, of a Leibniz
-    expansion over Z), and the route that ran is the rule's."""
+    expansion over Z), and the route that ran is the rule's: inside it the
+    cofactor expansion at n <= 4 and Bareiss over Z above, past it
+    elimination mod p."""
     import evalmat.ffprob as ffprob_mod
-    from evalmat import kernel
 
     p, coeffs, a, b = trial
     n, k = len(a), len(coeffs) - 1
@@ -295,16 +314,47 @@ def test_det_is_zero_routes_agree_with_elimination_mod_p(trial, side):
     cfg = ExperimentConfig(modulus=p, n=n, coeffs=coeffs, trials=1, seed=0)
     max_n = n - (side == "past n")
     max_bits = k * p.bit_length() - (side == "past bits")
-    mods = []
-    real_det = kernel.det
+    routes = []  # "cofactor", or the modulus kernel.det ran with
+    real_det, real_cofactor = kernel.det, ffprob_mod._cofactor_det
 
     def spy(rows, mod=None):
-        mods.append(mod)
+        routes.append(mod)
         return real_det(rows, mod)
+
+    def cofactor_spy(rows):
+        routes.append("cofactor")
+        return real_cofactor(rows)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ffprob_mod, "INTEGER_MAX_N", max_n)
         mp.setattr(ffprob_mod, "INTEGER_MAX_BITS", max_bits)
         mp.setattr(kernel, "det", spy)
+        mp.setattr(ffprob_mod, "_cofactor_det", cofactor_spy)
         assert ffprob_mod._det_is_zero(cfg, a, b) == expected, trial
-    assert mods == [None if side == "integer" else p]
+    if side != "integer":
+        assert routes == [p]
+    else:
+        assert routes == ["cofactor" if n <= 4 else None]
+
+
+@pytest.mark.parametrize(
+    "p,n,coeffs,distinct",
+    [(5, 3, (1, 2, 3, 4), False), (3, 4, (1, 2, 1, 2, 1), False), (5, 4, (4, 1, 3, 2, 1), True)],
+)
+def test_cofactor_route_exhaustive(p, n, coeffs, distinct):
+    """Every point pair of F_5 at n = 3 (15,625) and of F_3 at n = 4
+    (6,561, all with a repeated point, so all zero) decides the zero as
+    elimination mod p does; so does every pair without a repeated point of
+    F_5 at n = 4 (14,400)."""
+    cfg = ExperimentConfig(modulus=p, n=n, coeffs=coeffs, trials=1, seed=0)
+    if distinct:
+        points = [list(a) for a in itertools.permutations(range(p), n)]
+    else:
+        points = [list(a) for a in itertools.product(range(p), repeat=n)]
+    zeros = 0
+    for a in points:
+        for b in points:
+            expected = kernel.det(kernel.sum_form(list(coeffs), a, b, p), p) == 0
+            assert _det_is_zero(cfg, a, b) == expected, (a, b)
+            zeros += expected
+    assert (zeros == len(points) ** 2) == (n > p)

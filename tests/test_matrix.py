@@ -290,3 +290,36 @@ def test_dense_matrix_rejects_unequal_rows():
 def test_pascal_core_rejects_empty_grid():
     with pytest.raises(ValueError, match="grid dimension must be >= 1"):
         pascal_core(UnivariatePoly([1, 2]), 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([RATIONAL, PrimeField(7), F101]), st.data())
+def test_equal_objects_hash_alike(domain, data):
+    """DenseMatrix, HomogeneousPoly and UnivariatePoly built from the same
+    values written another way (an int or an unreduced Fraction over Q, an
+    element of x + 2p over F_p) are equal and hash alike, and so are two
+    objects whose values, drawn from a small pool, happen to be equal."""
+    if domain == RATIONAL:
+        scalar = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2))
+    else:
+        scalar = st.integers(-2, 2)
+
+    def again(x):
+        if domain != RATIONAL:
+            return domain.from_int(x + 2 * domain.p)
+        return int(x) if x.denominator == 1 else Fraction(5 * x.numerator, 5 * x.denominator)
+
+    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    size = rows * cols
+    values = data.draw(st.lists(scalar, min_size=size, max_size=size))
+    others = data.draw(st.lists(scalar, min_size=size, max_size=size))
+    builders = (
+        lambda v: DenseMatrix([v[r * cols : (r + 1) * cols] for r in range(rows)], domain),
+        lambda v: HomogeneousPoly(size - 1, v, domain),
+        lambda v: UnivariatePoly(v, domain),
+    )
+    for build in builders:
+        x, y, z = build(values), build([again(v) for v in values]), build(others)
+        assert x == y and hash(x) == hash(y)
+        if x == z:
+            assert hash(x) == hash(z)
