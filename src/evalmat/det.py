@@ -297,10 +297,10 @@ def det_sum_form(f: UnivariatePoly, pts: PointVectors) -> DetReport:
 
 
 def pascal_core_det(f: UnivariatePoly, n: int) -> Scalar:
-    """Bareiss determinant of the coefficient grid of f(x+y) at n = deg f + 1.
+    """Determinant (bareiss_det) of the coefficient grid of f(x+y) at n = deg f + 1.
 
-    Equals alpha_k^n * (-1)^C(n,2) * prod_i C(k,i); computing it by
-    elimination keeps this an independent check of that closed form.
+    Equals alpha_k^n * (-1)^C(n,2) * prod_i C(k,i); computing it from the
+    grid keeps this an independent check of that closed form.
     """
     _sum_form_degree(f, n, "pascal core")
     return bareiss_det(pascal_core(f, n))

@@ -20,19 +20,18 @@ streams DRAW_BATCH trials at a time (_trial_draws): each trial's stream
 start and its first 2n states sit in the 128-bit lanes of one Python int,
 so each step of mix64 is one big-int operation for the whole batch. A trial
 whose first 2n outputs include a rejected one keeps its accepted outputs
-and draws the rest one at a time from its 2n-th state.
+and draws the rest from a SplitMix64 at its 2n-th state.
 
 A trial with a repeated a_r or b_s has two equal rows or columns, so its
 determinant is zero on either path. Any other trial off the n = k+1
-collision path stays on raw ints, with no scalar objects, and takes one of
-two routes (_det_is_zero). A small trial builds [f(a_r + b_s)] over Z by
-Horner, reduces each entry mod p once, takes the determinant over Z (by
-cofactor expansion at n <= 4, by Bareiss above) and reduces it mod p; this
-is exact because det(A mod p) = det(A) mod p, and Bareiss' divisions are
-exact, so it needs no inverse mod p. Its integers grow with n and with
-k * bit_length(p), so a trial with n > INTEGER_MAX_N or
-k * bit_length(p) > INTEGER_MAX_BITS is instead built by Horner mod p and
-eliminated mod p by the integer kernel.
+collision path stays on raw ints, with no scalar objects (_det_is_zero):
+``kernel.sum_form`` builds [f(a_r + b_s)] mod p, by Horner over Z reduced
+once per entry while k * bit_length(p) <= kernel.HORNER_MAX_BITS.
+``kernel.det`` takes the determinant of those residues over Z, by cofactor
+expansion at n <= 4 and Bareiss above, and it is reduced mod p: exact since
+det(A mod p) = det(A) mod p, and with no inverse mod p, since Bareiss'
+divisions are exact. Bareiss' integers grow with n, so above INTEGER_MAX_N
+rows ``kernel.det`` eliminates mod p instead.
 """
 
 from __future__ import annotations
@@ -124,22 +123,20 @@ def _trial_draws(seed: int, n: int, p: int, trials: int):
     start + (j+1) * gamma are mixed in 128-bit lanes of one int, state j of
     trial i in lane j * batch + i. A trial whose 2n outputs are all below the
     rejection threshold takes them mod p; any other keeps its accepted
-    outputs in order and draws the rest with mix64 and the rejection inlined,
-    from state start + 2n * gamma on."""
+    outputs in order and draws the rest from SplitMix64(start + 2n * gamma)."""
     seed_mix = mix64(seed)
     threshold = _rejection_threshold(p)
-    m1, m2, gamma, mask = _MIX1, _MIX2, _GAMMA, _MASK64  # locals for the inner loop
     w, size = 2 * n, 0
     for t0 in range(0, trials, DRAW_BATCH):
         b = min(DRAW_BATCH, trials - t0)
         if b != size:  # the first batch and a short last one
             size = b
-            lane_mask = _lanes([mask], b * w)
+            lane_mask = _lanes([_MASK64], b * w)
             seeds = _lanes([seed_mix], b)
             offsets = _lanes(range(b))
-            steps = _lanes([(j + 1) * gamma & mask for j in range(w)], b)
+            steps = _lanes([(j + 1) * _GAMMA & _MASK64 for j in range(w)], b)
         indexes = _lanes([t0], b) + offsets
-        starts = _mix64_lanes(indexes * gamma, lane_mask) ^ seeds
+        starts = _mix64_lanes(indexes * _GAMMA, lane_mask) ^ seeds
         # block j of b lanes holds the starts plus (j+1) * gamma
         states = int.from_bytes(starts.to_bytes(16 * b, "little") * w, "little") + steps
         # the shift moves the next lane's bits only above each lane's low 64
@@ -149,17 +146,10 @@ def _trial_draws(seed: int, n: int, p: int, trials: int):
             for i in range(b):
                 yield residues[i::b]
             continue
-        for i, state in enumerate(_unlanes(starts, b)):
+        for i, start in enumerate(_unlanes(starts, b)):
             draws = [u % p for u in outputs[i::b] if u < threshold]
-            state += w * gamma
-            while len(draws) < w:
-                state = (state + gamma) & mask
-                z = ((state ^ (state >> 30)) * m1) & mask
-                z = ((z ^ (z >> 27)) * m2) & mask
-                u = (z ^ (z >> 31)) >> 2
-                if u < threshold:
-                    draws.append(u % p)
-            yield draws
+            rest = SplitMix64(start + w * _GAMMA)
+            yield draws + [rest.next_below(p) for _ in range(w - len(draws))]
 
 
 @dataclass(frozen=True)
@@ -224,56 +214,19 @@ def exact_borderline_probability(n: int, q: int) -> Fraction:
     return 1 - d * d
 
 
-# _det_is_zero decides a trial over Z while n <= INTEGER_MAX_N and
-# k * bit_length(p) <= INTEGER_MAX_BITS, and mod p past either; see the
-# crossover table in CHANGES.md
+# _det_is_zero takes the determinant over Z up to this many rows and mod p
+# above; see the crossover table in CHANGES.md
 INTEGER_MAX_N = 8
-INTEGER_MAX_BITS = 1300
-
-
-def _cofactor_det(m: list[list[int]]) -> int:
-    """The determinant over Z of an n x n matrix, 1 <= n <= 4, by explicit
-    formulas: Sarrus' rule at n = 3, and at n = 4 the Laplace expansion by
-    the 2x2 minors of rows 0-1 against their complements in rows 2-3."""
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = m
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = m
-    return (
-        (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
-        - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
-        + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
-        + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
-        - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
-        + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
-    )
 
 
 def _det_is_zero(cfg: ExperimentConfig, a: list[int], b: list[int]) -> bool:
-    """Whether det [f(a_r + b_s)] = 0 in F_p. Within the size rule: Horner
-    over Z, each entry reduced mod p once, the determinant over Z (cofactor
-    expansion at n <= 4, Bareiss above), reduced mod p, exact since
-    det(A mod p) = det(A) mod p.
-    Past it: ``kernel.det(kernel.sum_form(coeffs, a, b, p), p)``."""
+    """Whether det [f(a_r + b_s)] = 0 in F_p: the entries mod p from
+    ``kernel.sum_form``, their determinant by ``kernel.det`` over Z up to
+    INTEGER_MAX_N rows and mod p above, reduced mod p; exact since
+    det(A mod p) = det(A) mod p."""
     p = cfg.modulus
-    if cfg.n > INTEGER_MAX_N or cfg.k * p.bit_length() > INTEGER_MAX_BITS:
-        return kernel.det(kernel.sum_form(cfg.coeffs, a, b, p), p) == 0
-    rc = cfg.coeffs[::-1]
-    rows = []
-    for x in a:
-        row = []
-        for y in b:
-            t, acc = x + y, 0
-            for c in rc:
-                acc = acc * t + c
-            row.append(acc % p)
-        rows.append(row)
-    return (_cofactor_det(rows) if cfg.n <= 4 else kernel.det(rows)) % p == 0
+    rows = kernel.sum_form(cfg.coeffs, a, b, p)
+    return kernel.det(rows, None if cfg.n <= INTEGER_MAX_N else p) % p == 0
 
 
 _ORACLE_SUBSAMPLE = 100

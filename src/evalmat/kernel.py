@@ -26,9 +26,9 @@ sum is k (p-1)^2; in elimination a row receives at most one multiple of a
 reduced pivot row per step, (p-1)^2 per slot, so rows (p-1)^2 + p bounds
 every slot. Packing and unpacking cost a few interpreted operations per
 entry, which an n x n matrix pays back only from about PACK_MIN rows on;
-below that (the Cauchy-Binet minors, and the ffprob trials too large for
-their integer route) the entry-by-entry code runs, and it stays the
-reference the packed code is tested against.
+below that (the Cauchy-Binet minors and every ffprob trial) the
+entry-by-entry code runs, and it stays the reference the packed code is
+tested against.
 
 Multimodular determinant over Z. Bareiss' intermediate integers are the
 leading minors of the matrix, so its cost follows their size, not only
@@ -75,6 +75,10 @@ MULTIMODULAR_MIN = 21
 # det_multimodular eliminates modulo the product of this many consecutive
 # primes at a time; see the group-size table in CHANGES.md
 MULTIMODULAR_GROUP = 4
+
+# sum_form's Horner over F_p reduces once per entry up to this deg f *
+# bit_length(p), and every step above; see ffprob's table in CHANGES.md
+HORNER_MAX_BITS = 1300
 
 
 def powers(xs: list[int], ds: list[int], k: int, mod: int | None = None) -> list[list[int]]:
@@ -155,20 +159,28 @@ def pascal(coeffs: list[int], n: int, mod: int | None = None) -> list[list[int]]
 
 def sum_form(coeffs: list[int], xs: list[int], ys: list[int], mod: int | None = None):
     """[f(x_r + y_s)] for f(t) = sum_i coeffs[i] t^i, by Horner in x_r + y_s
-    entry by entry, or over F_p from the Pascal grid (see _sum_form_packed)."""
+    entry by entry, or over F_p from the Pascal grid (see _sum_form_packed).
+    Over F_p, Horner runs over Z and reduces each entry once while
+    deg f * bit_length(p) <= HORNER_MAX_BITS, and reduces every step past it."""
     # the packed route builds the (deg+1)^2 Pascal grid, which only pays
     # while it is no larger than the n x n result: deg < n
     if len(xs) >= PACK_MIN and len(ys) >= PACK_MIN and 0 < len(coeffs) <= len(xs) and mod is not None:
         return _sum_form_packed(coeffs, xs, ys, mod)
     rc = coeffs[::-1]
+    each_step = mod is not None and (len(coeffs) - 1) * mod.bit_length() > HORNER_MAX_BITS
+    once = mod is not None and not each_step
     rows = []
     for x in xs:
         row = []
         for y in ys:
             t, acc = x + y, 0
-            for c in rc:
-                acc = acc * t + c if mod is None else (acc * t + c) % mod
-            row.append(acc)
+            if each_step:
+                for c in rc:
+                    acc = (acc * t + c) % mod
+            else:
+                for c in rc:
+                    acc = acc * t + c
+            row.append(acc % mod if once else acc)
         rows.append(row)
     return rows
 
@@ -280,9 +292,37 @@ def _echelon_packed(a, mod):
 
 
 def det(a: list[list[int]], mod: int | None = None) -> int:
-    """Determinant of a square matrix; consumes a."""
+    """Determinant of a square matrix: 1 to 4 rows by cofactors over Z, reduced
+    mod ``mod`` once, which is exact for any modulus (det_multimodular's
+    prime products too); 0 or 5 and more rows by ``echelon``, which consumes a."""
+    if 0 < len(a) <= 4:
+        d = _cofactor_det(a)
+        return d if mod is None else d % mod
     rank, d = echelon(a, mod)
     return d if rank == len(a) else 0
+
+
+def _cofactor_det(m: list[list[int]]) -> int:
+    """The determinant over Z of an n x n matrix, 1 <= n <= 4, by explicit
+    formulas: Sarrus' rule at n = 3, and at n = 4 the Laplace expansion by
+    the 2x2 minors of rows 0-1 against their complements in rows 2-3."""
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    if n == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = m
+    return (
+        (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+        - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+        + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+        + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+        - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+        + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
+    )
 
 
 # det_multimodular's primes, descending from 2^62; found on first use, never

@@ -209,9 +209,9 @@ def vandermonde_product(xs: Sequence) -> Scalar:
 
 
 def bareiss_det(m: DenseMatrix) -> Scalar:
-    """Exact determinant: the kernel eliminates the rows lifted to integers,
-    each over its own common denominator (Bareiss over Z, Gaussian
-    elimination with modular inverses over F_p)."""
+    """Exact determinant of the rows lifted to integers, each over its own
+    common denominator, by the kernel: cofactors up to 4 rows, then Bareiss
+    over Z and Gaussian elimination with modular inverses over F_p."""
     if m.rows != m.cols:
         raise ValueError(f"matrix is {m.rows}x{m.cols}, not square")
     return _det(m.entries, m.domain)

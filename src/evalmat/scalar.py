@@ -361,8 +361,10 @@ def parse_scalar(s: str, domain: ScalarDomain) -> Scalar:
     try:
         if m is None or (m[3] is not None and domain.modulus is not None):
             return Fraction(s) if domain.modulus is None else FpElement(int(s), domain)
-        num = _digits_int(m[2])
-        return domain.ratio(-num if m[1] == "-" else num, _digits_int(m[3] or "1"))
+        num, den = _digits_int(m[2]), _digits_int(m[3] or "1")
+        if den == 0:  # Fraction's own message would print num, past the digit limit
+            raise ZeroDivisionError
+        return domain.ratio(-num if m[1] == "-" else num, den)
     except ZeroDivisionError as e:
         raise ValueError(f"zero denominator in {s!r}") from e
 

@@ -693,7 +693,9 @@ def test_scalar_as_json_number_exit_2(monkeypatch, capsys, path, value, where):
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("text", ["1/0", "9" * 700 + "/0"], ids=["short", "long"])
+@pytest.mark.parametrize(
+    "text", ["1/0", "9" * 700 + "/0", "7" * 5000 + "/0"], ids=["short", "long", "past-limit"]
+)
 def test_zero_denominator_names_field_exit_2(monkeypatch, capsys, text):
     # was `error: Fraction(1, 0)`, naming neither the field nor --expect
     coeffs = dict(INSTANCE["poly"], coeffs=["1", text])

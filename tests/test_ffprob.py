@@ -276,6 +276,16 @@ def _leibniz_is_zero(coeffs, a, b, p):
     return leibniz_det(rows) % p == 0
 
 
+def _elimination_is_zero(coeffs, a, b, p):
+    """The zero of det [f(a_r + b_s)] mod p by its rank under elimination
+    mod p, on entries from f's values mod p: no kernel.sum_form, no
+    kernel.det."""
+    def f(t):
+        return sum(c * pow(t, i, p) for i, c in enumerate(coeffs)) % p
+
+    return kernel.echelon([[f(x + y) for y in b] for x in a], p)[0] < len(a)
+
+
 @st.composite
 def zero_test_trials(draw):
     """(p, coeffs nonzero mod p, a, b), the points partly from a small pool."""
@@ -298,24 +308,25 @@ def zero_test_trials(draw):
 @example((7, (1, 2, 3), [1, 4], [6, 0]), "integer")
 @example((7, (1, 2, 3), [2, 0], [0, 6]), "integer")
 def test_det_is_zero_routes_agree_with_elimination_mod_p(trial, side):
-    """Both sides of _det_is_zero's size rule, reached by patching its
-    constants to the trial's own n and k * bit_length(p) or one below,
-    decide the zero of elimination mod p (and, for n <= 5, of a Leibniz
-    expansion over Z), and the route that ran is the rule's: inside it the
-    cofactor expansion at n <= 4 and Bareiss over Z above, past it
-    elimination mod p."""
+    """Both sides of each of _det_is_zero's rules, reached by patching
+    ffprob.INTEGER_MAX_N to the trial's n or one below and
+    kernel.HORNER_MAX_BITS to its k * bit_length(p) or one below, decide the
+    zero of elimination mod p (and, for n <= 5, of a Leibniz expansion over
+    Z), and kernel.det ran as the rules say: over Z at n <= INTEGER_MAX_N
+    whatever the entries' Horner mode, mod p above, and by cofactor
+    expansion at n <= 4."""
     import evalmat.ffprob as ffprob_mod
 
     p, coeffs, a, b = trial
     n, k = len(a), len(coeffs) - 1
-    expected = kernel.det(kernel.sum_form(list(coeffs), a, b, p), p) == 0
+    expected = _elimination_is_zero(coeffs, a, b, p)
     if n <= 5:
         assert _leibniz_is_zero(coeffs, a, b, p) == expected
     cfg = ExperimentConfig(modulus=p, n=n, coeffs=coeffs, trials=1, seed=0)
     max_n = n - (side == "past n")
     max_bits = k * p.bit_length() - (side == "past bits")
-    routes = []  # "cofactor", or the modulus kernel.det ran with
-    real_det, real_cofactor = kernel.det, ffprob_mod._cofactor_det
+    routes = []  # the modulus kernel.det ran with, then "cofactor" if it expanded
+    real_det, real_cofactor = kernel.det, kernel._cofactor_det
 
     def spy(rows, mod=None):
         routes.append(mod)
@@ -327,14 +338,11 @@ def test_det_is_zero_routes_agree_with_elimination_mod_p(trial, side):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ffprob_mod, "INTEGER_MAX_N", max_n)
-        mp.setattr(ffprob_mod, "INTEGER_MAX_BITS", max_bits)
+        mp.setattr(kernel, "HORNER_MAX_BITS", max_bits)
         mp.setattr(kernel, "det", spy)
-        mp.setattr(ffprob_mod, "_cofactor_det", cofactor_spy)
+        mp.setattr(kernel, "_cofactor_det", cofactor_spy)
         assert ffprob_mod._det_is_zero(cfg, a, b) == expected, trial
-    if side != "integer":
-        assert routes == [p]
-    else:
-        assert routes == ["cofactor" if n <= 4 else None]
+    assert routes == [p if side == "past n" else None] + ["cofactor"] * (n <= 4)
 
 
 @pytest.mark.parametrize(
@@ -345,8 +353,11 @@ def test_cofactor_route_exhaustive(p, n, coeffs, distinct):
     """Every point pair of F_5 at n = 3 (15,625) and of F_3 at n = 4
     (6,561, all with a repeated point, so all zero) decides the zero as
     elimination mod p does; so does every pair without a repeated point of
-    F_5 at n = 4 (14,400)."""
+    F_5 at n = 4 (14,400). _det_is_zero runs kernel.det's cofactor
+    expansion at these n; the reference is the rank under elimination mod p
+    of entries read from a table of f mod p."""
     cfg = ExperimentConfig(modulus=p, n=n, coeffs=coeffs, trials=1, seed=0)
+    f = [sum(c * t**i for i, c in enumerate(coeffs)) % p for t in range(2 * p - 1)]
     if distinct:
         points = [list(a) for a in itertools.permutations(range(p), n)]
     else:
@@ -354,7 +365,7 @@ def test_cofactor_route_exhaustive(p, n, coeffs, distinct):
     zeros = 0
     for a in points:
         for b in points:
-            expected = kernel.det(kernel.sum_form(list(coeffs), a, b, p), p) == 0
+            expected = kernel.echelon([[f[x + y] for y in b] for x in a], p)[0] < n
             assert _det_is_zero(cfg, a, b) == expected, (a, b)
             zeros += expected
     assert (zeros == len(points) ** 2) == (n > p)

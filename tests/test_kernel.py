@@ -3,7 +3,9 @@ from PACK_MIN rows on. The packed functions are called directly and the
 public ones with packing switched off, so both routes run at every size;
 the public tests check the dispatch around PACK_MIN against the closed
 forms. The multimodular determinant over Z is checked against Bareiss, and
-its grouped moduli against the primes one at a time."""
+its grouped moduli against the primes one at a time. ``det``'s cofactor
+path and ``sum_form``'s two Horner modes are checked against a Leibniz
+expansion and against f evaluated entry by entry."""
 
 import hashlib
 import io
@@ -24,6 +26,8 @@ from evalmat.det import det_borderline, det_sum_form
 from evalmat.matrix import PointVectors, bareiss_det, evaluation_matrix
 from evalmat.poly import HomogeneousPoly, UnivariatePoly
 from evalmat.scalar import PrimeField, is_prime
+
+from oracles import leibniz_det
 
 # F_2 and F_3 are full of singular matrices; 2^61-1 needs the widest slots
 PRIMES = [2, 3, 101, 2**31 - 1, 2**61 - 1]
@@ -352,3 +356,42 @@ def test_verify_over_q_on_small_primes_passes(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == 0 and out.splitlines()[-1] == "verification: PASS", out
     assert "ORACLE" in out and any(outcome == "raised" for _, outcome in calls)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_det_small_matches_leibniz(data):
+    """0 to 5 rows (1 to 4 by cofactors, 5 by elimination, 0 giving 1) over
+    Z, mod a prime and mod a product of two primes, as det_multimodular
+    uses it."""
+    n = data.draw(st.integers(0, 5), label="n")
+    mod = data.draw(st.sampled_from([None, 2, 101, 2**61 - 1, (2**61 - 1) * (2**31 - 1)]))
+    entry = st.integers(-(2**70), 2**70) if mod is None else st.integers(0, mod - 1)
+    a = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    expected = leibniz_det(a)
+    assert kernel.det([row[:] for row in a], mod) == (expected if mod is None else expected % mod)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([None] + PRIMES),
+    st.lists(st.integers(0, 2**62), min_size=1, max_size=9),
+    st.lists(st.integers(0, 2**62), min_size=1, max_size=6),
+    st.lists(st.integers(0, 2**62), min_size=1, max_size=6),
+    st.sampled_from([0, -1]),
+)
+def test_sum_form_horner_modes_match_entrywise(mod, coeffs, xs, ys, below):
+    """With HORNER_MAX_BITS patched to deg f * bit_length(p) (each entry
+    reduced once) or one below it (every step reduced), and over Z, the rows
+    are f(x_r + y_s) evaluated entry by entry."""
+    if mod is not None:
+        coeffs, xs, ys = ([v % mod for v in vs] for vs in (coeffs, xs, ys))
+
+    def f(t):
+        value = sum(c * t**i for i, c in enumerate(coeffs))
+        return value if mod is None else value % mod
+
+    bits = (len(coeffs) - 1) * (mod or 1).bit_length() + below
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(kernel, "HORNER_MAX_BITS", bits)
+        assert kernel.sum_form(coeffs, xs, ys, mod) == [[f(x + y) for y in ys] for x in xs]

@@ -194,6 +194,16 @@ def test_serialization():
     assert parse_scalar("12", F7) == F7.from_int(5)
 
 
+def test_long_negative_fraction_round_trip():
+    # past 1,800 bits format_scalar splits a number's digits at a power of
+    # ten, and a negative numerator gives its sign first; numerator and
+    # denominator each pass 4,300 digits
+    x = Fraction(-(3**10000) - 1, 7**6000)
+    num, den = format_scalar(x).split("/")
+    assert num.startswith("-") and len(num) == 1 + 4772 and len(den) == 5071
+    assert parse_scalar(f"{num}/{den}", RATIONAL) == x
+
+
 def test_parse_domain():
     assert parse_domain("rational") == RATIONAL
     assert parse_domain("fp:101") == F101
@@ -270,7 +280,9 @@ def test_value_types_are_immutable(value):
 
 
 @pytest.mark.parametrize(
-    "text", ["1/0", "-3/0", "0/0", "7" * 700 + "/0"], ids=["1/0", "-3/0", "0/0", "long"]
+    "text",
+    ["1/0", "-3/0", "0/0", "7" * 700 + "/0", "7" * 5000 + "/0"],
+    ids=["1/0", "-3/0", "0/0", "long", "past-limit"],
 )
 def test_parse_scalar_zero_denominator_is_value_error(text):
     # Fraction raises ZeroDivisionError; the CLI reports ValueErrors per field
