@@ -27,11 +27,9 @@ determinant is zero on either path. Any other trial off the n = k+1
 collision path stays on raw ints, with no scalar objects (_det_is_zero):
 ``kernel.sum_form`` builds [f(a_r + b_s)] mod p, by Horner over Z reduced
 once per entry while k * bit_length(p) <= kernel.HORNER_MAX_BITS.
-``kernel.det`` takes the determinant of those residues over Z, by cofactor
-expansion at n <= 4 and Bareiss above, and it is reduced mod p: exact since
-det(A mod p) = det(A) mod p, and with no inverse mod p, since Bareiss'
-divisions are exact. Bareiss' integers grow with n, so above INTEGER_MAX_N
-rows ``kernel.det`` eliminates mod p instead.
+``kernel.det`` takes their determinant mod p by the route its row count
+picks: over Z and reduced once up to kernel.BAREISS_MAX_N rows (exact since
+det(A mod p) = det(A) mod p), and by elimination mod p above.
 """
 
 from __future__ import annotations
@@ -214,19 +212,10 @@ def exact_borderline_probability(n: int, q: int) -> Fraction:
     return 1 - d * d
 
 
-# _det_is_zero takes the determinant over Z up to this many rows and mod p
-# above; see the crossover table in CHANGES.md
-INTEGER_MAX_N = 8
-
-
 def _det_is_zero(cfg: ExperimentConfig, a: list[int], b: list[int]) -> bool:
     """Whether det [f(a_r + b_s)] = 0 in F_p: the entries mod p from
-    ``kernel.sum_form``, their determinant by ``kernel.det`` over Z up to
-    INTEGER_MAX_N rows and mod p above, reduced mod p; exact since
-    det(A mod p) = det(A) mod p."""
-    p = cfg.modulus
-    rows = kernel.sum_form(cfg.coeffs, a, b, p)
-    return kernel.det(rows, None if cfg.n <= INTEGER_MAX_N else p) % p == 0
+    ``kernel.sum_form``, their determinant mod p from ``kernel.det``."""
+    return kernel.det(kernel.sum_form(cfg.coeffs, a, b, cfg.modulus), cfg.modulus) == 0
 
 
 _ORACLE_SUBSAMPLE = 100
@@ -240,7 +229,7 @@ def estimate_zero_probability(cfg: ExperimentConfig) -> ExperimentResult:
     with alpha_k != 0 mod p, so unless p divides some C(k,i), det = 0 exactly
     when a point repeats and the zero test is this O(n) collision check
     alone. Otherwise the trials without a repeat are decided by
-    _det_is_zero, over Z or mod p by the size rule.
+    _det_is_zero.
     Each of the first 100 trials that the collision check decides is
     cross-checked against an elimination determinant.
     """

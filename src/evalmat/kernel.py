@@ -25,10 +25,10 @@ reduced mod p only when they are read. For a product over k terms that
 sum is k (p-1)^2; in elimination a row receives at most one multiple of a
 reduced pivot row per step, (p-1)^2 per slot, so rows (p-1)^2 + p bounds
 every slot. Packing and unpacking cost a few interpreted operations per
-entry, which an n x n matrix pays back only from about PACK_MIN rows on;
-below that (the Cauchy-Binet minors and every ffprob trial) the
-entry-by-entry code runs, and it stays the reference the packed code is
-tested against.
+entry, which an n x n matrix pays back only from about PACK_MIN rows on.
+Below that the entry-by-entry code runs (every ffprob trial's entries, and
+elimination mod p past ``det``'s BAREISS_MAX_N rows); it stays the
+reference the packed code is tested against.
 
 Multimodular determinant over Z. Bareiss' intermediate integers are the
 leading minors of the matrix, so its cost follows their size, not only
@@ -79,6 +79,10 @@ MULTIMODULAR_GROUP = 4
 # sum_form's Horner over F_p reduces once per entry up to this deg f *
 # bit_length(p), and every step above; see ffprob's table in CHANGES.md
 HORNER_MAX_BITS = 1300
+
+# det runs Bareiss over Z, whatever the modulus, up to this many rows, and
+# eliminates mod the modulus above; see the crossover table in CHANGES.md
+BAREISS_MAX_N = 8
 
 
 def powers(xs: list[int], ds: list[int], k: int, mod: int | None = None) -> list[list[int]]:
@@ -292,14 +296,17 @@ def _echelon_packed(a, mod):
 
 
 def det(a: list[list[int]], mod: int | None = None) -> int:
-    """Determinant of a square matrix: 1 to 4 rows by cofactors over Z, reduced
-    mod ``mod`` once, which is exact for any modulus (det_multimodular's
-    prime products too); 0 or 5 and more rows by ``echelon``, which consumes a."""
+    """Determinant of a square matrix by the route its row count picks: 1 to
+    4 rows by cofactors, 0 and 5 to BAREISS_MAX_N by Bareiss, both over Z
+    and reduced mod ``mod`` once, which is exact for any modulus
+    (det_multimodular's prime products too); more by ``echelon`` mod ``mod``.
+    ``echelon`` consumes a."""
     if 0 < len(a) <= 4:
         d = _cofactor_det(a)
-        return d if mod is None else d % mod
-    rank, d = echelon(a, mod)
-    return d if rank == len(a) else 0
+    else:
+        rank, d = echelon(a, None if len(a) <= BAREISS_MAX_N else mod)
+        d = d if rank == len(a) else 0
+    return d if mod is None else d % mod
 
 
 def _cofactor_det(m: list[list[int]]) -> int:

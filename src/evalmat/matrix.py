@@ -210,8 +210,8 @@ def vandermonde_product(xs: Sequence) -> Scalar:
 
 def bareiss_det(m: DenseMatrix) -> Scalar:
     """Exact determinant of the rows lifted to integers, each over its own
-    common denominator, by the kernel: cofactors up to 4 rows, then Bareiss
-    over Z and Gaussian elimination with modular inverses over F_p."""
+    common denominator, by ``kernel.det``: cofactors, Bareiss over Z or
+    elimination mod p, picked by the row count alone."""
     if m.rows != m.cols:
         raise ValueError(f"matrix is {m.rows}x{m.cols}, not square")
     return _det(m.entries, m.domain)

@@ -742,3 +742,29 @@ def test_malformed_integer_option_names_option(monkeypatch, capsys, args, option
     code, out, err = run_main_full(monkeypatch, capsys, args)
     message = "invalid literal for int() with base 10: 'x'"
     assert (code, out, err) == (2, "", f"error: {option}: {message}\n")
+
+
+def test_in_file_and_dash_read_as_stdin(monkeypatch, capsys, tmp_path):
+    # det --in FILE prints the bytes that det on stdin prints, and --in -
+    # reads stdin
+    path = tmp_path / "inst.json"
+    path.write_text(BORDERLINE_INSTANCE, encoding="utf-8")
+    expected = run_main_full(monkeypatch, capsys, ["det"], BORDERLINE_INSTANCE)
+    assert expected[0] == 0 and json.loads(expected[1])["value"] == "-8"
+    assert run_main_full(monkeypatch, capsys, ["det", "--in", str(path)]) == expected
+    assert run_main_full(monkeypatch, capsys, ["det", "--in", "-"], BORDERLINE_INSTANCE) == expected
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
+def test_unreadable_in_file_exit_2(monkeypatch, capsys, tmp_path, kind):
+    # README's exit 2 for an unreadable --in file; the text after "error: "
+    # is Python's own, so only its start is pinned
+    path = tmp_path / "inst.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not utf-8":
+        path.write_bytes(BORDERLINE_INSTANCE.encode("utf-16"))
+    for command in ("det", "verify", "matrix"):
+        code, out, err = run_main_full(monkeypatch, capsys, [command, "--in", str(path)], BORDERLINE_INSTANCE)
+        assert (code, out) == (2, ""), (kind, command)
+        assert err.startswith("error: ") and err.count("\n") == 1, (kind, command, err)

@@ -308,13 +308,13 @@ def zero_test_trials(draw):
 @example((7, (1, 2, 3), [1, 4], [6, 0]), "integer")
 @example((7, (1, 2, 3), [2, 0], [0, 6]), "integer")
 def test_det_is_zero_routes_agree_with_elimination_mod_p(trial, side):
-    """Both sides of each of _det_is_zero's rules, reached by patching
-    ffprob.INTEGER_MAX_N to the trial's n or one below and
+    """Both sides of each of the kernel's rules under _det_is_zero, reached
+    by patching kernel.BAREISS_MAX_N to the trial's n or one below and
     kernel.HORNER_MAX_BITS to its k * bit_length(p) or one below, decide the
     zero of elimination mod p (and, for n <= 5, of a Leibniz expansion over
-    Z), and kernel.det ran as the rules say: over Z at n <= INTEGER_MAX_N
-    whatever the entries' Horner mode, mod p above, and by cofactor
-    expansion at n <= 4."""
+    Z), and the kernel ran as the rules say: kernel.det always with p, by
+    cofactor expansion at n <= 4, and from 5 rows on echelon over Z up to
+    BAREISS_MAX_N rows, whatever the entries' Horner mode, and mod p above."""
     import evalmat.ffprob as ffprob_mod
 
     p, coeffs, a, b = trial
@@ -325,8 +325,10 @@ def test_det_is_zero_routes_agree_with_elimination_mod_p(trial, side):
     cfg = ExperimentConfig(modulus=p, n=n, coeffs=coeffs, trials=1, seed=0)
     max_n = n - (side == "past n")
     max_bits = k * p.bit_length() - (side == "past bits")
-    routes = []  # the modulus kernel.det ran with, then "cofactor" if it expanded
-    real_det, real_cofactor = kernel.det, kernel._cofactor_det
+    # the modulus kernel.det ran with, then "cofactor" if it expanded, or the
+    # modulus echelon ran with
+    routes = []
+    real_det, real_cofactor, real_echelon = kernel.det, kernel._cofactor_det, kernel.echelon
 
     def spy(rows, mod=None):
         routes.append(mod)
@@ -336,13 +338,21 @@ def test_det_is_zero_routes_agree_with_elimination_mod_p(trial, side):
         routes.append("cofactor")
         return real_cofactor(rows)
 
+    def echelon_spy(rows, mod=None):
+        routes.append(("echelon", mod))
+        return real_echelon(rows, mod)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ffprob_mod, "INTEGER_MAX_N", max_n)
+        mp.setattr(kernel, "BAREISS_MAX_N", max_n)
         mp.setattr(kernel, "HORNER_MAX_BITS", max_bits)
         mp.setattr(kernel, "det", spy)
         mp.setattr(kernel, "_cofactor_det", cofactor_spy)
+        mp.setattr(kernel, "echelon", echelon_spy)
         assert ffprob_mod._det_is_zero(cfg, a, b) == expected, trial
-    assert routes == [p if side == "past n" else None] + ["cofactor"] * (n <= 4)
+    if n <= 4:
+        assert routes == [p, "cofactor"]
+    else:
+        assert routes == [p, ("echelon", p if side == "past n" else None)]
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,8 @@ the public tests check the dispatch around PACK_MIN against the closed
 forms. The multimodular determinant over Z is checked against Bareiss, and
 its grouped moduli against the primes one at a time. ``det``'s cofactor
 path and ``sum_form``'s two Horner modes are checked against a Leibniz
-expansion and against f evaluated entry by entry."""
+expansion and against f evaluated entry by entry, and ``det``'s routes on
+both sides of BAREISS_MAX_N against Bareiss over Z and elimination mod p."""
 
 import hashlib
 import io
@@ -318,8 +319,10 @@ def test_multimodular_redoes_a_group_prime_by_prime(monkeypatch):
 @given(st.data())
 def test_multimodular_small_primes_match_bareiss(data):
     # with the moduli 3 * 5 * 7 * 11, 13 * 17 * 19 * 23, ... non-unit
-    # pivots are frequent, on both sides of PACK_MIN; every one must fall
-    # back to the primes, exactly
+    # pivots are frequent where det eliminates mod q, past BAREISS_MAX_N
+    # rows and on both sides of PACK_MIN; every one must fall back to the
+    # primes, exactly. At 1, 2, 3, 5 and 8 rows det takes no inverse
+    # (cofactors, Bareiss over Z), so no group falls back there
     n = data.draw(st.sampled_from([1, 2, 3, 5, 8, kernel.PACK_MIN - 1, kernel.PACK_MIN + 2]))
     bits = data.draw(st.sampled_from([1, 4, 16]))
     kind = data.draw(st.sampled_from(["random", "rank-deficient", "zero row"]))
@@ -361,10 +364,10 @@ def test_verify_over_q_on_small_primes_passes(monkeypatch, capsys):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_det_small_matches_leibniz(data):
-    """0 to 5 rows (1 to 4 by cofactors, 5 by elimination, 0 giving 1) over
-    Z, mod a prime and mod a product of two primes, as det_multimodular
-    uses it."""
-    n = data.draw(st.integers(0, 5), label="n")
+    """0 to 6 rows (1 to 4 by cofactors, 5 and 6 by Bareiss over Z, 0
+    giving 1) over Z, mod a prime and mod a product of two primes, as
+    det_multimodular uses it."""
+    n = data.draw(st.integers(0, 6), label="n")
     mod = data.draw(st.sampled_from([None, 2, 101, 2**61 - 1, (2**61 - 1) * (2**31 - 1)]))
     entry = st.integers(-(2**70), 2**70) if mod is None else st.integers(0, mod - 1)
     a = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
@@ -395,3 +398,56 @@ def test_sum_form_horner_modes_match_entrywise(mod, coeffs, xs, ys, below):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(kernel, "HORNER_MAX_BITS", bits)
         assert kernel.sum_form(coeffs, xs, ys, mod) == [[f(x + y) for y in ys] for x in xs]
+
+
+MODULI = [2, 101, 2**31 - 1, 2**61 - 1, (2**61 - 1) * (2**31 - 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_det_mod_on_both_sides_of_bareiss_max_n(data):
+    """5 to 9 rows mod a prime or a product of two primes: det equals
+    Bareiss over Z reduced once, and for a prime also the determinant by
+    elimination mod p, the route that 5 to 8 rows leave. Mod the product,
+    only elimination (9 rows) takes inverses, and it may meet a pivot that
+    is no unit, which det_multimodular catches."""
+    n = data.draw(st.integers(5, kernel.BAREISS_MAX_N + 1), label="n")
+    mod = data.draw(st.sampled_from(MODULI))
+    entry = st.sampled_from([0, 1, mod - 1]) | st.integers(0, mod - 1)
+    a = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    rank, over_z = kernel.echelon([row[:] for row in a])
+    expected = over_z % mod if rank == n else 0
+    if is_prime(mod):
+        rank, d = kernel.echelon([row[:] for row in a], mod)
+        assert (d if rank == n else 0) == expected
+    try:
+        got = kernel.det([row[:] for row in a], mod)
+    except ValueError:
+        assert n > kernel.BAREISS_MAX_N and not is_prime(mod)
+        return
+    assert got == expected
+
+
+@pytest.mark.parametrize("patch,limit", [(None, 8), (4, 4), (6, 6), (12, 12)])
+def test_det_route_follows_bareiss_max_n(monkeypatch, patch, limit):
+    """det hands echelon no modulus from 5 to BAREISS_MAX_N rows (5 to 8
+    unpatched) and the modulus above; it expands 1 to 4 rows by cofactors
+    whatever the constant."""
+    if patch is not None:
+        monkeypatch.setattr(kernel, "BAREISS_MAX_N", patch)
+    assert kernel.BAREISS_MAX_N == limit
+    received, echelon = [], kernel.echelon
+
+    def spy(a, mod=None):
+        received.append(mod)
+        return echelon(a, mod)
+
+    monkeypatch.setattr(kernel, "echelon", spy)
+    rng = random.Random(18)
+    p = 2**31 - 1
+    for n in range(1, 14):
+        a = rand_rows(rng, n, n, p)
+        rank, d = echelon([row[:] for row in a])
+        received.clear()
+        assert kernel.det(a, p) == (d % p if rank == n else 0)
+        assert received == ([] if n <= 4 else [None if n <= limit else p]), n

@@ -1,0 +1,40 @@
+"""The line rule of tools/source_lines.py, which CI prints for src/evalmat."""
+
+import importlib.util
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "source_lines.py"
+_SPEC = importlib.util.spec_from_file_location("source_lines", _PATH)
+source_lines = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(source_lines)
+
+SAMPLE = '''"""Module docstring,
+
+over three lines."""
+
+# a comment line
+X = """not a docstring,
+but code"""  # a trailing comment
+
+
+class C:
+    """One line."""
+
+    def f(self):
+        """Two
+        lines."""
+        return [1,
+                2]
+'''
+
+
+def test_classify_counts_code_prose_and_blank():
+    # code: X (2 lines), class, def, return (2 lines); prose: the module
+    # docstring's 2 lines of text, the comment line, C's and f's docstrings
+    # (1 + 2); blank: 4 between blocks, 1 inside the module docstring
+    assert source_lines.classify(SAMPLE) == (6, 6, 5)
+
+
+def test_classify_splits_every_line():
+    text = _PATH.read_text(encoding="utf-8")
+    assert sum(source_lines.classify(text)) == len(text.splitlines())
