@@ -166,6 +166,13 @@ def det_cauchy_binet(
     lexicographic order. Both routes run on the kernel's integer lift and
     wrap each term over one shared denominator.
 
+    Each route builds its tables once per call and hands kernel.det every
+    minor as a list of whole rows: DIRECT the rows k - i, i in reversed(I),
+    of V's transpose and the rows i in I of W's (a minor's transpose has
+    its determinant), each copied since kernel.det consumes its rows;
+    H_ROUTE the slices pad[e : e + l(lam)] of one H table per side behind
+    n - 1 zeros (see _jacobi_trudi).
+
     Every support subset is listed up front, with no limit (a dense p at
     n = 10, k = 60 has 9.0e10): a caller should count them with
     support_subsets first. Only the CLI caps an expansion, at CB_VERIFY_BUDGET.
@@ -189,13 +196,15 @@ def det_cauchy_binet(
         # V's minor on columns I has the exponents k - i, i in I, descending;
         # it is eliminated on the same exponents ascending (W's order), since
         # Bareiss' leading minors then stay ordinary Vandermondes of low
-        # degree, and the column reversal costs the sign
+        # degree, and the column reversal costs the sign. V^T and W^T hold
+        # tuples, so kernel.det, which consumes its rows, only gets copies
         v, v_den = power_image(pts.a, k, dom)
         w, w_den = power_image(pts.b, k, dom)
+        vt, wt = list(zip(*v)), list(zip(*w))
         den = e**n * math.prod(v_den + w_den)
         for subset in subsets:
-            mv = kernel.det([[row[k - i] for i in reversed(subset)] for row in v], mod)
-            mw = kernel.det([[row[i] for i in subset] for row in w], mod)
+            mv = kernel.det([list(vt[k - i]) for i in reversed(subset)], mod)
+            mw = kernel.det([list(wt[i]) for i in subset], mod)
             minors.append(sign * mv * mw)
     else:
         # a descending-exponent minor is prod_{r<r'}(x_r - x_{r'}) * s_lam,
@@ -207,14 +216,14 @@ def det_cauchy_binet(
         # a block reads H up to lam_1 + l(lam) - 1 <= k; at n = k+1 the one
         # subset has lam empty and reads nothing past H_0
         depth = k if n <= k else 0
-        h_a = kernel.h_table(xa, depth, mod)
-        h_b = kernel.h_table(xb, depth, mod)
+        pad_a = [0] * (n - 1) + kernel.h_table(xa, depth, mod)
+        pad_b = [0] * (n - 1) + kernel.h_table(xb, depth, mod)
         scale = sign * kernel.vandermonde(xa, mod) * kernel.vandermonde(xb, mod)
         den = e**n * (ga * gb) ** (n * k)
         for subset in subsets:
             s = sum(subset)
-            mv = _jacobi_trudi([k - i for i in subset], h_a, mod)
-            mw = _jacobi_trudi(subset[::-1], h_b, mod)
+            mv = _jacobi_trudi([k - i for i in subset], pad_a, mod)
+            mw = _jacobi_trudi(subset[::-1], pad_b, mod)
             minors.append(scale * mv * mw * ga**s * gb ** (n * k - s))
     nums = [x * math.prod(c[i] for i in subset) for subset, x in zip(subsets, minors)]
     terms = tuple((subset, dom.ratio(x, den)) for subset, x in zip(subsets, nums))
@@ -231,9 +240,9 @@ def schur_minor(xs: Sequence, exponents: Sequence[int]) -> Scalar:
 
     where this factor is the Jacobi-Trudi determinant det [H_{lam_i + j - i}(xs)]
     with lam_i = e_i - (n - i) (the Schur polynomial s_lam(xs)), taken on the
-    l(lam) rows of the nonzero parts (see _jacobi_trudi). It is computed on
-    the integer numerators X over their common denominator D as
-    s_lam(X) / D^|lam|.
+    l(lam) rows of the nonzero parts (see _jacobi_trudi), each a slice of
+    one H table behind n - 1 zeros. It is computed on the integer numerators
+    X over their common denominator D as s_lam(X) / D^|lam|.
     """
     exps = tuple(exponents)
     xs = tuple(xs)
@@ -247,35 +256,36 @@ def schur_minor(xs: Sequence, exponents: Sequence[int]) -> Scalar:
     nums, den = dom.lift(xs)
     length = _partition_length(exps)
     depth = exps[0] - len(exps) + length if length else 0  # lam_1 + l(lam) - 1
-    hs = kernel.h_table(nums, depth, dom.modulus)
+    pad = [0] * (len(exps) - 1) + kernel.h_table(nums, depth, dom.modulus)
     weight = sum(exps) - binomial(len(exps), 2)
-    return dom.ratio(_jacobi_trudi(exps, hs, dom.modulus), den**weight)
+    return dom.ratio(_jacobi_trudi(exps, pad, dom.modulus), den**weight)
 
 
-def _jacobi_trudi(exps: Sequence[int], hs: list[int], mod: int | None) -> int:
-    """det [H_{lam_i + j - i}] = det [H_{e_i - n + 1 + j}] with H_d = hs[d], 0 for d < 0.
+def _jacobi_trudi(exps: Sequence[int], pad: list[int], mod: int | None) -> int:
+    """det [H_{lam_i + j - i}] = det [H_{e_i - n + 1 + j}], with pad the H
+    table H_0, H_1, ... behind n - 1 zeros, so that row i is the slice
+    pad[e_i : e_i + l] (H_d = 0 for d < 0).
 
     Only the top-left l x l block is eliminated, l = l(lam) the number of
     nonzero parts: a row i >= l has lam_i = 0, so it reads H_{j-i}, which is
     0 left of the diagonal and H_0 = 1 on it. The n x n matrix is therefore
     block upper triangular with a unitriangular lower-right block, and its
     determinant is that of the block (Macdonald, Symmetric Functions and
-    Hall Polynomials, I.3). The block reads hs up to lam_1 + l - 1; l = 0
+    Hall Polynomials, I.3). The block reads H up to lam_1 + l - 1; l = 0
     gives the empty determinant 1.
     """
-    n, length = len(exps), _partition_length(exps)
-    rows = [
-        [hs[d] if d >= 0 else 0 for d in range(e - n + 1, e - n + 1 + length)]
-        for e in exps[:length]
-    ]
-    return kernel.det(rows, mod)
+    length = _partition_length(exps)
+    return kernel.det([pad[e : e + length] for e in exps[:length]], mod)
 
 
 def _partition_length(exps: Sequence[int]) -> int:
-    """l(lam) for lam_i = e_i - (n - 1 - i), i from 0: its nonzero parts,
-    which come first since lam is non-increasing."""
-    n = len(exps)
-    return sum(1 for i, e in enumerate(exps) if e > n - 1 - i)
+    """l(lam) for lam_i = e_i - (n - 1 - i), i from 0. lam is non-increasing,
+    so its zero parts are the trailing rows with e_i = n - 1 - i, counted
+    here from the end."""
+    length = len(exps)
+    while length and exps[length - 1] == len(exps) - length:
+        length -= 1
+    return length
 
 
 def rank_upper_bound(p: HomogeneousPoly, n: int) -> int:

@@ -49,10 +49,8 @@ _MASK64 = (1 << 64) - 1
 
 
 def mix64(z: int) -> int:
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return z ^ (z >> 31)
+    """SplitMix64's output mix of the low 64 bits of z: _mix64_lanes on one lane."""
+    return _mix64_lanes(z, _MASK64)
 
 
 def _rejection_threshold(bound: int) -> int:
@@ -73,10 +71,16 @@ class SplitMix64:
         return mix64(self.state)
 
     def next_below(self, bound: int) -> int:
+        # the step and mix64 written out, so the draw loop makes no Python call
         threshold = _rejection_threshold(bound)
+        z = self.state
         while True:
-            u = self.next_uint64() >> 2
+            z = (z + _GAMMA) & _MASK64
+            u = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+            u = ((u ^ (u >> 27)) * _MIX2) & _MASK64
+            u = (u ^ (u >> 31)) >> 2
             if u < threshold:
+                self.state = z
                 return u % bound
 
 
@@ -104,8 +108,7 @@ def _mix64_lanes(z: int, mask: int) -> int:
     """mix64 of each 128-bit lane of z, where mask holds 2^64 - 1 in every
     lane: the bits a shift brings in from the next lane are masked off
     before each product, and a 64-bit value times a 64-bit constant stays in
-    its own lane. mix64 needs none of these masks, and trial_stream calls it
-    once a draw, so it stays without them."""
+    its own lane. mix64 is its one-lane case."""
     z &= mask
     z = (z ^ (z >> 30) & mask) * _MIX1 & mask
     z = (z ^ (z >> 27) & mask) * _MIX2 & mask
@@ -206,9 +209,7 @@ def exact_borderline_probability(n: int, q: int) -> Fraction:
     D(n,q) = prod_{i<n} (q-i)/q. For n > q the pigeonhole forces 1."""
     if n > q:
         return Fraction(1)
-    d = Fraction(1)
-    for i in range(n):
-        d *= Fraction(q - i, q)
+    d = math.prod((Fraction(q - i, q) for i in range(n)), start=Fraction(1))
     return 1 - d * d
 
 

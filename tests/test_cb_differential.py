@@ -12,15 +12,27 @@ gives random supports, including ones smaller than n.
 A second test stays in F_2 and F_3 with n*k > q and n <= k+1 <= 7, and
 draws every point from a pool of at most q residues, so collisions are the
 rule there rather than the exception.
+
+A third test runs both routes past the harness' sizes, where kernel.det
+consumes the rows it is given: by Bareiss over Z at 5 and 8 rows, and at 9
+and 10 over Q, and by elimination mod p past kernel.BAREISS_MAX_N at 9 and
+10 rows over F_101. Each route takes every minor's
+rows from tables built once per expansion, so a table row that one minor's
+elimination changed would corrupt the later terms that read it.
 """
 
 from fractions import Fraction
 
+import random
+from math import prod
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evalmat import kernel
 from evalmat.det import DIRECT, H_ROUTE, det_cauchy_binet, det_structured, oracle_det
-from evalmat.matrix import PointVectors
+from evalmat.matrix import PointVectors, factorization_parts, minor_det
 from evalmat.poly import HomogeneousPoly
 from evalmat.scalar import PrimeField
 
@@ -86,3 +98,32 @@ def test_collision_heavy_small_fields_agree(field, data):
     if n <= 6:
         entries = [[p.evaluate(x, y) for y in pts.b] for x in pts.a]
         assert leibniz_det(entries) == expected
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(101)])
+@pytest.mark.parametrize("n", [5, kernel.BAREISS_MAX_N, kernel.BAREISS_MAX_N + 1, 10])
+def test_routes_agree_term_by_term_where_minors_are_consumed(field, n):
+    # k = n+1 with a dense support gives C(n+2, 2) >= 21 subsets, whose V and
+    # W minors share all but one or two rows with their neighbours; each term
+    # is also held to minor_det on freshly built V and W
+    k = n + 1
+    rng = random.Random(800 + n)
+    if field is None:
+        a = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+        b = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+        coeffs = [Fraction(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(k + 1)]
+    else:
+        a = rng.sample(range(field.p), n)
+        b = rng.sample(range(field.p), n)
+        coeffs = [rng.randrange(1, field.p) for _ in range(k + 1)]
+    p = HomogeneousPoly(k, coeffs, field)
+    pts = PointVectors(a, b, field)
+    direct = det_cauchy_binet(p, pts, DIRECT)
+    h_route = det_cauchy_binet(p, pts, H_ROUTE)
+    assert len(direct.subset_terms) == (n + 2) * (n + 1) // 2
+    assert direct.subset_terms == h_route.subset_terms
+    v, _, w = factorization_parts(p, pts)
+    for subset, term in direct.subset_terms:
+        alpha = prod((p.coeffs[i] for i in subset), start=pts.domain.one)
+        assert term == minor_det(v, subset) * alpha * minor_det(w, subset)
+    assert direct.value == h_route.value == oracle_det(p, pts).value

@@ -82,7 +82,8 @@ def test_truncated_jacobi_trudi_equals_full_matrix(mod, n):
             expected = full_jacobi_trudi(exps, hs, mod)
             # the block reads H no deeper than lam_1 + l(lam) - 1
             depth = exps[0] - n + length if length else 0
-            assert _jacobi_trudi(exps, hs[: depth + 1], mod) == expected
+            pad = [0] * (n - 1) + hs[: depth + 1]
+            assert _jacobi_trudi(exps, pad, mod) == expected
 
 
 def brute_schur(xs, exps):
