@@ -16,14 +16,13 @@ rule there rather than the exception.
 A third test runs both routes past the harness' sizes, where kernel.det
 consumes the rows it is given: by Bareiss over Z at 5 and 8 rows, and at 9
 and 10 over Q, and by elimination mod p past kernel.BAREISS_MAX_N at 9 and
-10 rows over F_101. Each route takes every minor's
-rows from tables built once per expansion, so a table row that one minor's
-elimination changed would corrupt the later terms that read it.
+10 rows over F_101. Each route takes every minor's rows from tables built
+once per expansion, so a table row that one minor's elimination changed
+would corrupt the later terms that read it.
 """
 
-from fractions import Fraction
-
 import random
+from fractions import Fraction
 from math import prod
 
 import pytest
@@ -109,12 +108,11 @@ def test_routes_agree_term_by_term_where_minors_are_consumed(field, n):
     k = n + 1
     rng = random.Random(800 + n)
     if field is None:
-        a = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
-        b = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+        pool = sorted({Fraction(u, v) for u in range(-9, 10) for v in range(1, 6)})
+        a, b = rng.sample(pool, n), rng.sample(pool, n)
         coeffs = [Fraction(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(k + 1)]
     else:
-        a = rng.sample(range(field.p), n)
-        b = rng.sample(range(field.p), n)
+        a, b = rng.sample(range(field.p), n), rng.sample(range(field.p), n)
         coeffs = [rng.randrange(1, field.p) for _ in range(k + 1)]
     p = HomogeneousPoly(k, coeffs, field)
     pts = PointVectors(a, b, field)
@@ -127,3 +125,4 @@ def test_routes_agree_term_by_term_where_minors_are_consumed(field, n):
         alpha = prod((p.coeffs[i] for i in subset), start=pts.domain.one)
         assert term == minor_det(v, subset) * alpha * minor_det(w, subset)
     assert direct.value == h_route.value == oracle_det(p, pts).value
+    assert direct.value != 0
