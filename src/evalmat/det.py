@@ -87,12 +87,15 @@ class LinearChange:
 def oracle_det(p: HomogeneousPoly | UnivariatePoly, pts: PointVectors) -> DetReport:
     """Brute-force determinant of A (the independent check): its integer
     image, eliminated; over Z by CRT from kernel.MULTIMODULAR_MIN rows on,
-    modulo products of up to kernel.MULTIMODULAR_GROUP primes."""
-    rows, row_den, col_den, dom = evaluation_image(p, pts)
-    if dom.modulus is None and len(rows) >= kernel.MULTIMODULAR_MIN:
+    modulo products of up to kernel.MULTIMODULAR_GROUP primes. Otherwise
+    evaluation_image hands the kernel's product to its determinant at once,
+    which over F_p from kernel.PACK_MIN rows on eliminates A's packed rows
+    without ever unpacking them."""
+    if pts.domain.modulus is None and pts.n >= kernel.MULTIMODULAR_MIN:
+        rows, row_den, col_den, dom = evaluation_image(p, pts)
         num = kernel.det_multimodular(rows)
     else:
-        num = kernel.det(rows, dom.modulus)
+        num, row_den, col_den, dom = evaluation_image(p, pts, det=True)
     return DetReport(dom.ratio(num, math.prod(row_den + col_den)), ORACLE)
 
 

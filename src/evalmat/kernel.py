@@ -24,8 +24,13 @@ below 2^w, so it cannot carry into its neighbour either, and slots are
 reduced mod p only when they are read. For a product over k terms that
 sum is k (p-1)^2; in elimination a row receives at most one multiple of a
 reduced pivot row per step, (p-1)^2 per slot, so rows (p-1)^2 + p bounds
-every slot. Packing and unpacking cost a few interpreted operations per
-entry, which an n x n matrix pays back only from about PACK_MIN rows on.
+every slot. ``product_det`` (and ``sum_form_det`` for its second product)
+eliminates the product's packed rows as they are, unreduced, in slots of
+(k + rows) (p-1)^2 + p: the oracle's A is never unpacked, and only the
+callers that need its entries as lists (``evaluation_matrix``, ``evalmat
+matrix``, the sum form's first product) unpack the product's rows, each
+once. Packing and unpacking cost a few interpreted operations per entry,
+which an n x n matrix pays back only from about PACK_MIN rows on.
 Below that the entry-by-entry code runs (every ffprob trial's entries, and
 elimination mod p past ``det``'s BAREISS_MAX_N rows); it stays the
 reference the packed code is tested against.
@@ -129,7 +134,7 @@ def _unpack(packed: int, count: int, size: int, mod: int) -> list[int]:
 def product(v: list[list[int]], c: list[int], w: list[list[int]], mod: int | None = None):
     """V * diag(c) * W^T: entry (r, s) is sum_i v[r][i] * c[i] * w[s][i]."""
     if len(v) >= PACK_MIN and len(w) >= PACK_MIN and mod is not None:
-        return _product_packed(v, c, w, mod)
+        return _product_rows(v, c, w, mod)
     vc = [[x * y for x, y in zip(row, c)] for row in v]
     if mod is None:
         return [[sum(map(mul, u, t)) for t in w] for u in vc]
@@ -137,15 +142,30 @@ def product(v: list[list[int]], c: list[int], w: list[list[int]], mod: int | Non
     return [[sum(map(mul, u, t)) % mod for t in w] for u in vc]
 
 
-def _product_packed(v, c, w, mod):
-    """Each column i of W packed across s; row r is then the packed sum of
-    (v[r][i] c[i] mod p) * column_i, unpacked once."""
+def product_det(v: list[list[int]], c: list[int], w: list[list[int]], mod: int | None = None) -> int:
+    """det(V * diag(c) * W^T) for len(v) == len(w). Over F_p from PACK_MIN
+    rows on, the product's packed rows go to the elimination unreduced, in
+    slots wide enough for both; otherwise det(product(...))."""
+    if len(v) >= PACK_MIN and len(w) >= PACK_MIN and mod is not None:
+        size = _slot_bytes((len(c) + len(v)) * (mod - 1) ** 2 + mod)
+        rank, d = _eliminate(_product_packed(v, c, w, mod, size), len(w), size, mod)
+        return d if rank == len(v) else 0
+    return det(product(v, c, w, mod), mod)
+
+
+def _product_rows(v, c, w, mod):
+    """V * diag(c) * W^T over F_p as lists: _product_packed in slots just
+    wide enough for the product, each row unpacked once."""
     size = _slot_bytes(len(c) * (mod - 1) ** 2)
+    return [_unpack(row, len(w), size, mod) for row in _product_packed(v, c, w, mod, size)]
+
+
+def _product_packed(v, c, w, mod, size):
+    """The rows of V * diag(c) * W^T over F_p, packed in slots of size bytes
+    and unreduced: each column i of W packed across s, and row r the packed
+    sum of (v[r][i] c[i] mod p) * column_i."""
     cols = [_pack(col, size, mod) for col in zip(*w)]
-    return [
-        _unpack(sum(map(mul, [x * y % mod for x, y in zip(row, c)], cols)), len(w), size, mod)
-        for row in v
-    ]
+    return [sum(map(mul, [x * y % mod for x, y in zip(row, c)], cols)) for row in v]
 
 
 def pascal(coeffs: list[int], n: int, mod: int | None = None) -> list[list[int]]:
@@ -166,9 +186,7 @@ def sum_form(coeffs: list[int], xs: list[int], ys: list[int], mod: int | None = 
     entry by entry, or over F_p from the Pascal grid (see _sum_form_packed).
     Over F_p, Horner runs over Z and reduces each entry once while
     deg f * bit_length(p) <= HORNER_MAX_BITS, and reduces every step past it."""
-    # the packed route builds the (deg+1)^2 Pascal grid, which only pays
-    # while it is no larger than the n x n result: deg < n
-    if len(xs) >= PACK_MIN and len(ys) >= PACK_MIN and 0 < len(coeffs) <= len(xs) and mod is not None:
+    if _pascal_pays(coeffs, xs, ys, mod):
         return _sum_form_packed(coeffs, xs, ys, mod)
     rc = coeffs[::-1]
     each_step = mod is not None and (len(coeffs) - 1) * mod.bit_length() > HORNER_MAX_BITS
@@ -189,14 +207,30 @@ def sum_form(coeffs: list[int], xs: list[int], ys: list[int], mod: int | None = 
     return rows
 
 
-def _sum_form_packed(coeffs, xs, ys, mod):
+def sum_form_det(coeffs: list[int], xs: list[int], ys: list[int], mod: int | None = None) -> int:
+    """det [f(x_r + y_s)]: where sum_form takes the Pascal grid, its second
+    product goes to product_det; otherwise det(sum_form(...))."""
+    if _pascal_pays(coeffs, xs, ys, mod):
+        return _sum_form_packed(coeffs, xs, ys, mod, product_det)
+    return det(sum_form(coeffs, xs, ys, mod), mod)
+
+
+def _pascal_pays(coeffs, xs, ys, mod):
+    """Whether sum_form takes the packed Pascal route: over F_p, from PACK_MIN
+    rows on, and while the (deg+1)^2 grid is no larger than the n x n
+    result, deg f < n."""
+    return len(xs) >= PACK_MIN and len(ys) >= PACK_MIN and 0 < len(coeffs) <= len(xs) and mod is not None
+
+
+def _sum_form_packed(coeffs, xs, ys, mod, last=_product_rows):
     """X * P * Y^T for X = [x_r^i], Y = [y_s^j] and the symmetric Pascal grid
-    P of f, as two packed products: Y P^T first, then X times that."""
+    P of f, as two packed products: Y P^T first, then ``last`` of X times
+    that (the rows, or product_det's determinant)."""
     m = len(coeffs) - 1
     grid = pascal(coeffs, m + 1, mod)
     ones = [1] * (m + 1)
-    yp = _product_packed(powers([1] * len(ys), ys, m, mod), ones, grid, mod)
-    return _product_packed(powers([1] * len(xs), xs, m, mod), ones, yp, mod)
+    yp = _product_rows(powers([1] * len(ys), ys, m, mod), ones, grid, mod)
+    return last(powers([1] * len(xs), xs, m, mod), ones, yp, mod)
 
 
 def vandermonde(xs: list[int], mod: int | None = None) -> int:
@@ -264,15 +298,21 @@ def echelon(a: list[list[int]], mod: int | None = None) -> tuple[int, int]:
 
 
 def _echelon_packed(a, mod):
-    """Elimination over F_p on packed rows. The current column is always
-    slot 0: each step shifts it out of every row and adds g = -h/pivot mod p
-    (so 0 <= g < p) times the pivot row's remaining slots, reduced, to each
-    row with h in slot 0. Only the pivot row is ever unpacked."""
-    cols = len(a[0])
+    """``echelon`` over F_p on rows packed from a, in slots wide enough for
+    len(a) elimination steps on reduced entries."""
     size = _slot_bytes(len(a) * (mod - 1) ** 2 + mod)
+    return _eliminate([_pack(row, size, mod) for row in a], len(a[0]), size, mod)
+
+
+def _eliminate(live, cols, size, mod):
+    """Elimination over F_p on packed rows of cols slots, each size bytes.
+    The current column is always slot 0: each step shifts it out of every
+    row and adds g = -h/pivot mod p (so 0 <= g < p) times the pivot row's
+    remaining slots, reduced, to each row with h in slot 0. Slots need not
+    be reduced: h and the pivot are reduced when read, and only the pivot
+    row is ever unpacked."""
     shift = 8 * size
     mask = (1 << shift) - 1
-    live = [_pack(row, size, mod) for row in a]
     rank, sign, d = 0, 1, 1
     for c in range(cols):
         for i, row in enumerate(live):

@@ -141,14 +141,18 @@ def power_image(xs: Sequence, k: int, dom: ScalarDomain, descending: bool = Fals
     return rows, [d**k for d in dens]
 
 
-def evaluation_image(p: HomogeneousPoly | UnivariatePoly, pts: PointVectors):
+def evaluation_image(p: HomogeneousPoly | UnivariatePoly, pts: PointVectors, det: bool = False):
     """The integer image of the evaluation matrix: (rows, row_den, col_den,
-    domain) with A[r][s] = rows[r][s] / (row_den[r] * col_den[s]).
+    domain) with A[r][s] = rows[r][s] / (row_den[r] * col_den[s]); with det,
+    the kernel's determinant of those rows in their place, so that
+    det A = rows / (prod(row_den) * prod(col_den)).
 
     Homogeneous p is the integer product V * D_c * W^T of power_image's rows
     of a (descending) and b (ascending), over E * d_r^k and e_s^k for
     coefficients c_i / E; the sum form runs Horner in a_r + b_s over one
-    common point denominator D, with c_i D^(deg-i) folded in once.
+    common point denominator D, with c_i D^(deg-i) folded in once. The
+    determinant comes from kernel.product_det and kernel.sum_form_det, which
+    over F_p eliminate a large product's packed rows without unpacking them.
     """
     dom = shared_domain(p, pts)
     mod = dom.modulus
@@ -157,11 +161,12 @@ def evaluation_image(p: HomogeneousPoly | UnivariatePoly, pts: PointVectors):
         m = len(c) - 1
         xs, d = dom.lift(pts.a + pts.b)
         folded = [ci * d ** (m - i) for i, ci in enumerate(c)]
-        rows = kernel.sum_form(folded, xs[: pts.n], xs[pts.n :], mod)
-        return rows, [e * d**m] * pts.n, [1] * pts.n, dom
+        sum_form = kernel.sum_form_det if det else kernel.sum_form
+        return sum_form(folded, xs[: pts.n], xs[pts.n :], mod), [e * d**m] * pts.n, [1] * pts.n, dom
     v, v_den = power_image(pts.a, p.degree, dom, descending=True)
     w, w_den = power_image(pts.b, p.degree, dom)
-    return kernel.product(v, c, w, mod), [e * x for x in v_den], w_den, dom
+    product = kernel.product_det if det else kernel.product
+    return product(v, c, w, mod), [e * x for x in v_den], w_den, dom
 
 
 def evaluation_matrix(p: HomogeneousPoly | UnivariatePoly, pts: PointVectors) -> DenseMatrix:

@@ -38,16 +38,25 @@ def rand_rows(rng, rows, cols, p):
     return [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
 
 
-@pytest.fixture
-def entries(monkeypatch):
-    """Call a kernel with the packed routes switched off."""
-
+def _with_pack_min(monkeypatch, value):
     def run(fn, *args):
         with monkeypatch.context() as m:
-            m.setattr(kernel, "PACK_MIN", 10**9)
+            m.setattr(kernel, "PACK_MIN", value)
             return fn(*args)
 
     return run
+
+
+@pytest.fixture
+def entries(monkeypatch):
+    """Call a kernel with the packed routes switched off."""
+    return _with_pack_min(monkeypatch, 10**9)
+
+
+@pytest.fixture
+def packed(monkeypatch):
+    """Call a kernel with the packed routes taken at every size."""
+    return _with_pack_min(monkeypatch, 1)
 
 
 @pytest.fixture
@@ -103,26 +112,48 @@ def test_echelon_dispatches_on_pack_min(entries):
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_packed_product_matches_entries(p, entries):
+def test_packed_product_matches_entries(p, entries, packed):
     rng = random.Random(3 + p % 1000)
-    for n, m, k in [(1, 1, 1), (1, 7, 3), (9, 2, 1), (16, 16, 16), (17, 30, 5), (40, 40, 40), (16, 20, 200)]:
+    # square shapes also check product_det, fused at its own dispatch and at
+    # every size: both sides of PACK_MIN, len(c) far above the row count,
+    # and fewer terms than rows (n >= k+2 for degree k), so A is singular
+    shapes = [(1, 1, 1), (1, 7, 3), (9, 2, 1), (16, 16, 16), (17, 30, 5), (40, 40, 40), (16, 20, 200)]
+    shapes += [(3, 3, 2), (15, 15, 15), (16, 16, 200), (20, 20, 18), (33, 33, 40)]
+    for n, m, k in shapes:
         v = rand_rows(rng, n, k, p)
         w = rand_rows(rng, m, k, p)
         c = [rng.randrange(p) if i % 5 else 0 for i in range(k)]
-        assert kernel._product_packed(v, c, w, p) == entries(kernel.product, v, c, w, p)
+        assert kernel._product_rows(v, c, w, p) == entries(kernel.product, v, c, w, p)
+        if n != m:
+            continue
+        # as drawn, with a repeated point (two equal rows of V), and with
+        # every term near (p-1)^2, which fills the product's slots
+        big = [[p - 1 - rng.randrange(1 + p // 16) for _ in range(k)] for _ in range(2 * n)]
+        for rows, diag, cols in ((v, c, w), (v[:-1] + v[:1], c, w), (big[:n], [1] * k, big[n:])):
+            expected = entries(kernel.det, entries(kernel.product, rows, diag, cols, p), p)
+            assert kernel.product_det(rows, diag, cols, p) == expected, (n, k)
+            assert packed(kernel.product_det, rows, diag, cols, p) == expected, (n, k)
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_packed_sum_form_matches_horner(p, entries):
+def test_packed_sum_form_matches_horner(p, entries, packed):
     rng = random.Random(5 + p % 1000)
-    # deg < n as dispatched, deg = n - 1, and deg far above n
-    for n, deg in [(1, 0), (3, 2), (16, 4), (16, 15), (25, 24), (40, 39), (12, 90)]:
+    # deg < n as dispatched, deg = n - 1, and deg far above n; sum_form_det
+    # also at deg < n - 1 (rank deg + 1 < n) and at the Horner fallback,
+    # deg >= n, from PACK_MIN rows on
+    cases = [(1, 0), (3, 2), (16, 4), (16, 15), (25, 24), (40, 39), (12, 90)]
+    for n, deg in cases + [(15, 14), (20, 20), (17, 30)]:
         coeffs = [rng.randrange(p) for _ in range(deg + 1)]
         xs = [rng.randrange(p) for _ in range(n)]
         ys = [rng.randrange(p) for _ in range(n)]
         expected = entries(kernel.sum_form, coeffs, xs, ys, p)
         assert kernel._sum_form_packed(coeffs, xs, ys, p) == expected
         assert kernel.sum_form(coeffs, xs, ys, p) == expected
+        # as drawn, then with a repeated point
+        for a in (xs, xs[:-1] + xs[:1]):
+            det = entries(kernel.det, entries(kernel.sum_form, coeffs, a, ys, p), p)
+            assert kernel.sum_form_det(coeffs, a, ys, p) == det, (n, deg)
+            assert packed(kernel.sum_form_det, coeffs, a, ys, p) == det, (n, deg)
 
 
 def test_vandermonde_grouped_differences_match_one_at_a_time():
