@@ -38,3 +38,18 @@ def test_classify_counts_code_prose_and_blank():
 def test_classify_splits_every_line():
     text = _PATH.read_text(encoding="utf-8")
     assert sum(source_lines.classify(text)) == len(text.splitlines())
+
+
+def test_directory_counts_its_python_files_in_sorted_order(capsys):
+    src = _PATH.parent.parent / "src" / "evalmat"
+    files = sorted(str(p) for p in src.glob("*.py"))
+    assert source_lines.main(files) == 0
+    by_file = capsys.readouterr().out
+    assert source_lines.main([str(src)]) == 0
+    assert capsys.readouterr().out == by_file
+
+
+def test_no_path_prints_usage(capsys):
+    assert source_lines.main([]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == source_lines.USAGE + "\n"

@@ -1,8 +1,9 @@
 """Count each module's lines as code, docstring-and-comment, and blank.
 
     python tools/source_lines.py src/evalmat/*.py
+    python tools/source_lines.py src/evalmat
 
-A blank line is empty or whitespace only, inside a docstring too. Of the
+A directory stands for its *.py files, in sorted order. A blank line is empty or whitespace only, inside a docstring too. Of the
 rest, docstring lines are those that a module, class or function docstring
 spans (found by ast), and comment lines hold only a comment (found by
 tokenize). Every other line is code. Prints one row per file and their
@@ -13,6 +14,9 @@ import ast
 import io
 import sys
 import tokenize
+from pathlib import Path
+
+USAGE = "usage: python tools/source_lines.py FILE_OR_DIRECTORY ..."
 
 
 # tokens that carry no code: line ends, indentation, the end of the file
@@ -38,16 +42,21 @@ def classify(source: str) -> tuple[int, int, int]:
     return len(lines) - prose - len(blank), prose, len(blank)
 
 
-def main(paths: list[str]) -> None:
+def main(paths: list[str]) -> int:
+    if not paths:
+        print(USAGE, file=sys.stderr)
+        return 2
     total = [0, 0, 0]
     print(f"{'code':>6} {'doc':>6} {'blank':>6}  file")
     for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            counts = classify(fh.read())
-        total = [t + c for t, c in zip(total, counts)]
-        print(f"{counts[0]:6d} {counts[1]:6d} {counts[2]:6d}  {path}")
+        for file in sorted(map(str, Path(path).glob("*.py"))) if Path(path).is_dir() else [path]:
+            with open(file, encoding="utf-8") as fh:
+                counts = classify(fh.read())
+            total = [t + c for t, c in zip(total, counts)]
+            print(f"{counts[0]:6d} {counts[1]:6d} {counts[2]:6d}  {file}")
     print(f"{total[0]:6d} {total[1]:6d} {total[2]:6d}  total")
+    return 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))
