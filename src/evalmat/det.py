@@ -85,17 +85,13 @@ class LinearChange:
 
 
 def oracle_det(p: HomogeneousPoly | UnivariatePoly, pts: PointVectors) -> DetReport:
-    """Brute-force determinant of A (the independent check): its integer
-    image, eliminated; over Z by CRT from kernel.MULTIMODULAR_MIN rows on,
-    modulo products of up to kernel.MULTIMODULAR_GROUP primes. Otherwise
-    evaluation_image hands the kernel's product to its determinant at once,
-    which over F_p from kernel.PACK_MIN rows on eliminates A's packed rows
+    """Brute-force determinant of A (the independent check): the
+    determinant of its integer image, taken by evaluation_image's kernel
+    call, which picks the route. Over Z from kernel.MULTIMODULAR_MIN rows on
+    it is CRT, modulo products of up to kernel.MULTIMODULAR_GROUP primes;
+    over F_p from kernel.PACK_MIN rows on it eliminates A's packed rows
     without ever unpacking them."""
-    if pts.domain.modulus is None and pts.n >= kernel.MULTIMODULAR_MIN:
-        rows, row_den, col_den, dom = evaluation_image(p, pts)
-        num = kernel.det_multimodular(rows)
-    else:
-        num, row_den, col_den, dom = evaluation_image(p, pts, det=True)
+    num, row_den, col_den, dom = evaluation_image(p, pts, det=True)
     return DetReport(dom.ratio(num, math.prod(row_den + col_den)), ORACLE)
 
 

@@ -55,11 +55,13 @@ pow(pivot, -1, q) raise ValueError, and that group is then redone prime by
 prime. The cost follows H, so the route pays only where Bareiss' leading
 minors grow: on the evaluation matrix A from MULTIMODULAR_MIN rows on
 (n = 29, 20-bit points: about 330 against 940 ms), which is why only the
-oracle uses it. W's ascending powers keep Bareiss' minors small while H
-stays large: at n = 29, W took 75 ms by Bareiss against 250 ms by CRT one
-prime at a time. (The Jacobi-Trudi determinants of the Cauchy-Binet H
-route reach this kernel only as their l(lam) x l(lam) block, and not at
-all at n = k+1, where lam is empty.)
+determinants of that image over Z use it: ``product_det`` and
+``sum_form_det``, by way of ``_image_det``. ``det`` itself never does. W's
+ascending powers keep Bareiss' minors small while H stays large: at
+n = 29, W took 75 ms by Bareiss against 250 ms by CRT one prime at a time.
+(The Jacobi-Trudi determinants of the Cauchy-Binet H route reach this
+kernel only as their l(lam) x l(lam) block, and not at all at n = k+1,
+where lam is empty.)
 """
 
 from __future__ import annotations
@@ -73,8 +75,9 @@ from .scalar import is_prime
 # crossover table in CHANGES.md
 PACK_MIN = 16
 
-# oracle_det eliminates integer images over Z by det_multimodular from this
-# many rows on, and by Bareiss below; see the crossover table in CHANGES.md
+# product_det and sum_form_det eliminate integer images over Z by
+# det_multimodular from this many rows on, and by det below; see the
+# crossover table in CHANGES.md
 MULTIMODULAR_MIN = 21
 
 # det_multimodular eliminates modulo the product of this many consecutive
@@ -145,12 +148,19 @@ def product(v: list[list[int]], c: list[int], w: list[list[int]], mod: int | Non
 def product_det(v: list[list[int]], c: list[int], w: list[list[int]], mod: int | None = None) -> int:
     """det(V * diag(c) * W^T) for len(v) == len(w). Over F_p from PACK_MIN
     rows on, the product's packed rows go to the elimination unreduced, in
-    slots wide enough for both; otherwise det(product(...))."""
+    slots wide enough for both; otherwise _image_det(product(...))."""
     if len(v) >= PACK_MIN and len(w) >= PACK_MIN and mod is not None:
         size = _slot_bytes((len(c) + len(v)) * (mod - 1) ** 2 + mod)
         rank, d = _eliminate(_product_packed(v, c, w, mod, size), len(w), size, mod)
         return d if rank == len(v) else 0
-    return det(product(v, c, w, mod), mod)
+    return _image_det(product(v, c, w, mod), mod)
+
+
+def _image_det(rows: list[list[int]], mod: int | None) -> int:
+    """The determinant of an evaluation image: over Z by det_multimodular
+    from MULTIMODULAR_MIN rows on, where Bareiss' leading minors grow;
+    otherwise by det, which consumes rows."""
+    return det_multimodular(rows) if mod is None and len(rows) >= MULTIMODULAR_MIN else det(rows, mod)
 
 
 def _product_rows(v, c, w, mod):
@@ -209,10 +219,10 @@ def sum_form(coeffs: list[int], xs: list[int], ys: list[int], mod: int | None = 
 
 def sum_form_det(coeffs: list[int], xs: list[int], ys: list[int], mod: int | None = None) -> int:
     """det [f(x_r + y_s)]: where sum_form takes the Pascal grid, its second
-    product goes to product_det; otherwise det(sum_form(...))."""
+    product goes to product_det; otherwise _image_det(sum_form(...))."""
     if _pascal_pays(coeffs, xs, ys, mod):
         return _sum_form_packed(coeffs, xs, ys, mod, product_det)
-    return det(sum_form(coeffs, xs, ys, mod), mod)
+    return _image_det(sum_form(coeffs, xs, ys, mod), mod)
 
 
 def _pascal_pays(coeffs, xs, ys, mod):

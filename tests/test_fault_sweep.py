@@ -48,7 +48,7 @@ TABLE = """
 fault            | H3   | h3   | h3b   | S3   | s3    | H16           | h16b          | S16           | s16   | q21           | q5b
 powers           | FAIL | FAIL | PASS* | -    | -     | FAIL          | PASS*         | FAIL          | -     | FAIL          | PASS*
 product          | FAIL | FAIL | PASS* | -    | -     | -             | -             | -             | -     | FAIL          | PASS*
-product_det      | FAIL | FAIL | PASS* | -    | -     | FAIL          | PASS*         | FAIL          | -     | -             | PASS*
+product_det      | FAIL | FAIL | PASS* | -    | -     | FAIL          | PASS*         | FAIL          | -     | FAIL          | PASS*
 sum_form         | -    | -    | -     | FAIL | PASS* | -             | -             | -             | PASS* | -             | -
 sum_form_det     | -    | -    | -     | FAIL | PASS* | -             | -             | FAIL          | PASS* | -             | -
 vandermonde      | FAIL | FAIL | -     | FAIL | -     | FAIL          | -             | FAIL          | -     | FAIL          | -

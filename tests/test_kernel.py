@@ -392,6 +392,34 @@ def test_verify_over_q_on_small_primes_passes(monkeypatch, capsys):
     assert "ORACLE" in out and any(outcome == "raised" for _, outcome in calls)
 
 
+@pytest.mark.parametrize("patch", [None, 6])
+def test_image_det_takes_crt_from_multimodular_min_over_z(monkeypatch, patch):
+    """product_det and sum_form_det over Z take det_multimodular from
+    MULTIMODULAR_MIN rows on (21 unpatched, 6 patched) and det below; over a
+    prime they never do, and neither does kernel.det at any size."""
+    if patch is not None:
+        monkeypatch.setattr(kernel, "MULTIMODULAR_MIN", patch)
+    calls, crt = [], kernel.det_multimodular
+    monkeypatch.setattr(kernel, "det_multimodular", lambda a: calls.append(len(a)) or crt(a))
+    rng = random.Random(21)
+    low = kernel.MULTIMODULAR_MIN
+    for n in (low - 1, low):
+        # n = k+1 = deg f + 1 on distinct points: both determinants are nonzero
+        xs, ys = rng.sample(range(80), n), rng.sample(range(80), n)
+        c = [rng.randrange(1, 10) for _ in range(n)]
+        v, w = kernel.powers(xs, [1] * n, n - 1), kernel.powers([1] * n, ys, n - 1)
+        pairs = ((kernel.product_det, kernel.product, (v, c, w)), (kernel.sum_form_det, kernel.sum_form, (c, xs, ys)))
+        for fused, build, args in pairs:
+            calls.clear()
+            expected = kernel.det(build(*args))
+            assert calls == [] and expected != 0
+            assert fused(*args) == expected, (fused.__name__, n)
+            assert calls == ([n] if n >= low else []), (fused.__name__, n)
+            for p in (101, 2**31 - 1):
+                assert fused(*args, p) == kernel.det(build(*args, p), p), (fused.__name__, n, p)
+            assert calls == ([n] if n >= low else []), (fused.__name__, n)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_det_small_matches_leibniz(data):
