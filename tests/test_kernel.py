@@ -408,8 +408,10 @@ def test_image_det_takes_crt_from_multimodular_min_over_z(monkeypatch, patch):
         xs, ys = rng.sample(range(80), n), rng.sample(range(80), n)
         c = [rng.randrange(1, 10) for _ in range(n)]
         v, w = kernel.powers(xs, [1] * n, n - 1), kernel.powers([1] * n, ys, n - 1)
-        pairs = ((kernel.product_det, kernel.product, (v, c, w)), (kernel.sum_form_det, kernel.sum_form, (c, xs, ys)))
-        for fused, build, args in pairs:
+        for fused, build, args in (
+            (kernel.product_det, kernel.product, (v, c, w)),
+            (kernel.sum_form_det, kernel.sum_form, (c, xs, ys)),
+        ):
             calls.clear()
             expected = kernel.det(build(*args))
             assert calls == [] and expected != 0

@@ -3,11 +3,12 @@
     python tools/source_lines.py src/evalmat/*.py
     python tools/source_lines.py src/evalmat
 
-A directory stands for its *.py files, in sorted order. A blank line is empty or whitespace only, inside a docstring too. Of the
-rest, docstring lines are those that a module, class or function docstring
-spans (found by ast), and comment lines hold only a comment (found by
-tokenize). Every other line is code. Prints one row per file and their
-total.
+A directory stands for its *.py files, in sorted order. A blank line is
+empty or whitespace only, inside a docstring too. Of the rest, docstring
+lines are those that a module, class or function docstring spans (found by
+ast), and comment lines hold only a comment (found by tokenize). Every
+other line is code. Prints one row per file and their total; with no path,
+a usage line, and exits 2.
 """
 
 import ast
@@ -49,7 +50,8 @@ def main(paths: list[str]) -> int:
     total = [0, 0, 0]
     print(f"{'code':>6} {'doc':>6} {'blank':>6}  file")
     for path in paths:
-        for file in sorted(map(str, Path(path).glob("*.py"))) if Path(path).is_dir() else [path]:
+        files = sorted(map(str, Path(path).glob("*.py"))) if Path(path).is_dir() else [path]
+        for file in files:
             with open(file, encoding="utf-8") as fh:
                 counts = classify(fh.read())
             total = [t + c for t, c in zip(total, counts)]
