@@ -10,6 +10,7 @@ elimination, which answers everything else (see det_structured).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -30,6 +31,7 @@ from .scalar import (
     SingularChangeError,
     SizeMismatchError,
     binomial,
+    domain_of,
     format_scalar,
     normalize_scalars,
     shared_domain,
@@ -45,12 +47,17 @@ DIRECT = "direct"
 H_ROUTE = "h_route"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetReport:
     """Determinant value plus the factor breakdown of the method used.
 
     For BORDERLINE and SUM_FORM, value = sign_factor * coeff_product *
     vdm_a * vdm_b exactly; for CAUCHY_BINET, value = sum of subset_terms.
+    A CAUCHY_BINET report keeps each term as an integer numerator over the
+    shared denominator term_den, and builds the (subset, scalar) pairs of
+    subset_terms on their first read (only det --show-terms reads them);
+    other methods have none. Reports compare and hash by the public fields
+    and subset_terms, whatever the route's denominator.
     """
 
     value: Scalar
@@ -59,7 +66,25 @@ class DetReport:
     coeff_product: Scalar | None = None
     vdm_a: Scalar | None = None
     vdm_b: Scalar | None = None
-    subset_terms: tuple | None = None
+    term_nums: tuple | None = None  # ((subset, numerator), ...)
+    term_den: int = 1
+
+    @functools.cached_property
+    def subset_terms(self) -> tuple | None:
+        if self.term_nums is None:
+            return None
+        dom, den = domain_of(self.value), self.term_den
+        return tuple((subset, dom.ratio(num, den)) for subset, num in self.term_nums)
+
+    def _key(self) -> tuple:
+        parts = self.sign_factor, self.coeff_product, self.vdm_a, self.vdm_b
+        return (self.value, self.method, *parts, self.subset_terms)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, DetReport) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -163,7 +188,8 @@ def det_cauchy_binet(
     whose (-1)^C(n,2) cost cancels the descending minor's own sign. Only
     subsets inside the support of the coefficients are enumerated, in
     lexicographic order. Both routes run on the kernel's integer lift and
-    wrap each term over one shared denominator.
+    keep each term as an integer over one shared denominator; the report
+    builds the term scalars only when subset_terms is read.
 
     Each route builds its tables once per call and hands kernel.det every
     minor as a list of whole rows: DIRECT the rows k - i, i in reversed(I),
@@ -225,8 +251,8 @@ def det_cauchy_binet(
             mw = _jacobi_trudi(subset[::-1], pad_b, mod)
             minors.append(scale * mv * mw * ga**s * gb ** (n * k - s))
     nums = [x * math.prod(c[i] for i in subset) for subset, x in zip(subsets, minors)]
-    terms = tuple((subset, dom.ratio(x, den)) for subset, x in zip(subsets, nums))
-    return DetReport(value=dom.ratio(sum(nums), den), method=CAUCHY_BINET, subset_terms=terms)
+    terms = tuple(zip(subsets, nums))
+    return DetReport(dom.ratio(sum(nums), den), CAUCHY_BINET, term_nums=terms, term_den=den)
 
 
 def schur_minor(xs: Sequence, exponents: Sequence[int]) -> Scalar:

@@ -10,6 +10,7 @@ domain.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -71,6 +72,14 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+@functools.lru_cache(maxsize=64)
+def _proven_prime(p: int) -> bool:
+    """is_prime(p), remembered for the last 64 moduli: the CLI builds its
+    PrimeField anew on every call. is_prime itself keeps no memo, so the
+    CRT prime search fills none."""
+    return is_prime(p)
 
 
 class Immutable:
@@ -180,7 +189,7 @@ class PrimeField(Immutable):
     def __init__(self, p: int):
         if not isinstance(p, int) or not 2 <= p < MAX_MODULUS:
             raise ValueError(f"modulus must be an integer in [2, 2^62): {p!r}")
-        if not is_prime(p):
+        if not _proven_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "modulus", p)
@@ -327,6 +336,9 @@ def normalize_scalars(values: Iterable, domain: ScalarDomain | None = None):
 # split at a power of ten, which leaves that process-wide guard on.
 _SPLIT_DIGITS = 600
 _LONG_DECIMAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
+# a short rational that is a plain ASCII integer: Fraction(int(s)) skips the
+# literal scan of Fraction(s), a few times its cost, and gives the same value
+_PLAIN_INT = re.compile(r"-?[0-9]+")
 
 
 def _int_str(n: int) -> str:
@@ -357,6 +369,8 @@ def format_scalar(x: Scalar) -> str:
 def parse_scalar(s: str, domain: ScalarDomain) -> Scalar:
     """Inverse of format_scalar for any number of digits; shorter strings may
     use any literal that Fraction (Q) or int (F_p) accepts; others raise ValueError."""
+    if domain.modulus is None and len(s) <= _SPLIT_DIGITS and _PLAIN_INT.fullmatch(s):
+        return Fraction(int(s))
     m = _LONG_DECIMAL.fullmatch(s) if len(s) > _SPLIT_DIGITS else None
     try:
         if m is None or (m[3] is not None and domain.modulus is not None):

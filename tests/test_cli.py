@@ -10,7 +10,8 @@ import pytest
 from evalmat import cli
 from evalmat.bench import BenchMismatchError
 from evalmat.cli import instance_to_json, load_instance, main
-from evalmat.scalar import RATIONAL, DomainMismatchError, PrimeField
+from evalmat.det import CAUCHY_BINET, det_structured
+from evalmat.scalar import RATIONAL, DomainMismatchError, PrimeField, RationalDomain
 
 
 def run_cli(args, stdin=None):
@@ -391,6 +392,49 @@ def test_det_budget_refuses_cauchy_binet_expansion(monkeypatch, capsys):
         assert err == "error: Cauchy-Binet expansion over 3 support subsets > limit 2\n"
     # auto det without --show-terms dispatches to no expansion, so no limit applies
     assert run_main(monkeypatch, capsys, ["det"], N2_K2_INSTANCE)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "domain, a, b",
+    [("fp:101", ["2", "3"], ["5", "7"]), ("rational", ["1/2", "3"], ["-2", "5/3"])],
+    ids=["fp", "q"],
+)
+def test_cauchy_binet_terms_are_built_only_on_read(monkeypatch, capsys, domain, a, b):
+    # support {0, 2, 5} at n = 2: S = 3 subsets, S*n = 6 <= k+1+n = 8, so
+    # auto dispatch expands; each term scalar is one domain.ratio call
+    text = json.dumps(
+        {
+            "domain": domain,
+            "poly": {"kind": "homogeneous", "degree": 5, "coeffs": ["1", "0", "2", "0", "0", "3"]},
+            "a": a,
+            "b": b,
+        }
+    )
+    calls = []
+    for cls in (PrimeField, RationalDomain):
+        def ratio(self, num, den=1, _ratio=cls.ratio):
+            calls.append(num)
+            return _ratio(self, num, den)
+
+        monkeypatch.setattr(cls, "ratio", ratio)
+
+    inst = load_instance(text)
+    report = det_structured(inst.poly, inst.pts)
+    assert report.method == CAUCHY_BINET and len(calls) == 1  # the value
+    terms = report.subset_terms
+    assert len(calls) == 4 and report.subset_terms is terms
+    assert sum(t for _, t in terms) == report.value
+
+    calls.clear()
+    code, out = run_main(monkeypatch, capsys, ["det"], text)
+    assert code == 0 and json.loads(out)["method"] == CAUCHY_BINET and len(calls) == 1
+    calls.clear()
+    code, out = run_main(monkeypatch, capsys, ["verify"], text)
+    assert code == 0 and "CAUCHY_BINET_DIRECT == CAUCHY_BINET_H_ROUTE: PASS" in out
+    assert len(calls) == 3  # one value per Cauchy-Binet route and the oracle's
+    calls.clear()
+    code, out = run_main(monkeypatch, capsys, ["det", "--show-terms"], text)
+    assert code == 0 and len(json.loads(out)["subset_terms"]) == 3 and len(calls) == 4
 
 
 def test_verify_large_cauchy_binet_skipped():

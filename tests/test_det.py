@@ -210,6 +210,39 @@ def test_cauchy_binet_mode_equivalence_and_terms():
         assert direct.subset_terms == hroute.subset_terms
 
 
+@pytest.mark.parametrize("dom", [None, F101], ids=["q", "fp"])
+def test_reports_compare_and_hash_on_every_method(dom):
+    # over Q, at points of denominator 3, the two routes store their terms
+    # over different denominators and still give equal reports
+    def pts(n):
+        xs = [Fraction(2 * i + 1, 3) if dom is None else 2 * i + 1 for i in range(n)]
+        return PointVectors(xs, [i * i + 2 for i in range(n)], dom)
+
+    hom = HomogeneousPoly(3, [1, 2, 0, 5], dom)
+
+    def reports():
+        return [
+            det_structured(hom, pts(5)),
+            det_borderline(hom, pts(4)),
+            det_sum_form(UnivariatePoly([1, 2, 3], dom), pts(3)),
+            det_cauchy_binet(hom, pts(2), DIRECT),
+            det_cauchy_binet(hom, pts(2), H_ROUTE),
+            oracle_det(hom, pts(2)),
+        ]
+
+    first, again = reports(), reports()
+    assert [r.method for r in first] == [VANISH_RANK, BORDERLINE, SUM_FORM] + [CAUCHY_BINET] * 2 + [ORACLE]
+    assert first == again and [hash(r) for r in first] == [hash(r) for r in again]
+    direct, hroute = first[3], first[4]
+    if dom is None:
+        assert direct.term_den != hroute.term_den
+    assert direct == hroute and hash(direct) == hash(hroute)
+    assert len(set(first)) == 5
+    assert direct.subset_terms is direct.subset_terms == hroute.subset_terms
+    assert [s for s, _ in direct.subset_terms] == [(0, 1), (0, 3), (1, 3)]
+    assert all(r.subset_terms is None for r in first if r.method != CAUCHY_BINET)
+
+
 def test_cauchy_binet_size_mismatch():
     with pytest.raises(SizeMismatchError):
         det_cauchy_binet(sum_power_poly(1), PointVectors([1, 2, 3], [1, 2, 3]))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from evalmat import scalar
 from evalmat.matrix import DenseMatrix, PointVectors, evaluation_matrix
 from evalmat.poly import HomogeneousPoly, UnivariatePoly
 from evalmat.scalar import (
@@ -19,6 +20,7 @@ from evalmat.scalar import (
     parse_domain,
     parse_scalar,
 )
+from evalmat.scalar import _SPLIT_DIGITS
 
 F7 = PrimeField(7)
 F101 = PrimeField(101)
@@ -184,6 +186,28 @@ def test_prime_field_rejects_bad_moduli():
         PrimeField(1 << 62)  # above the modulus cap even if prime-shaped
 
 
+def test_prime_field_proves_each_modulus_once(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(scalar, "is_prime", counted)
+    scalar._proven_prime.cache_clear()
+    p = 2147483647
+    assert PrimeField(p) == PrimeField(p) and calls == [p]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^modulus 4 is not prime$"):
+            PrimeField(4)
+    assert calls == [p, 4]
+    with pytest.raises(ValueError, match=r"^modulus must be an integer in \[2, 2\^62\)"):
+        PrimeField(1 << 62)
+    assert parse_domain(f"fp:{p}") == PrimeField(p) and calls == [p, 4]
+    # the CRT prime search and every direct caller still run the full test
+    assert is_prime(p) and is_prime(p) and calls == [p, 4]
+
+
 def test_serialization():
     assert format_scalar(Fraction(5, 6)) == "5/6"
     assert format_scalar(Fraction(3)) == "3"
@@ -192,6 +216,37 @@ def test_serialization():
     assert parse_scalar("-7", RATIONAL) == Fraction(-7)
     assert format_scalar(F7.from_int(12)) == "5"
     assert parse_scalar("12", F7) == F7.from_int(5)
+
+
+@pytest.mark.parametrize(
+    "text", ["0", "-0", "007", "+5", " 5", "1_000", "\u0663", "3/4", "1e3", "", "-", "5/0"]
+)
+def test_parse_scalar_over_q_is_fraction_of_the_literal(text):
+    # plain ASCII integers take Fraction(int(s)); every literal keeps the
+    # value or the error text of Fraction(s), a zero denominator as the cause
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError) as e:
+        with pytest.raises(ValueError) as info:
+            parse_scalar(text, RATIONAL)
+        got = info.value.__cause__ if isinstance(e, ZeroDivisionError) else info.value
+        assert (type(got), str(got)) == (type(e), str(e))
+    else:
+        got = parse_scalar(text, RATIONAL)
+        assert type(got) is Fraction and got == want
+
+
+@given(
+    st.integers(_SPLIT_DIGITS - 3, _SPLIT_DIGITS + 2).flatmap(
+        lambda d: st.integers(10 ** (d - 1), 10**d - 1)
+    ),
+    st.booleans(),
+)
+def test_parse_scalar_integers_around_split_digits(n, negative):
+    # both sides of the split path's length threshold, sign included
+    n = -n if negative else n
+    assert parse_scalar(str(n), RATIONAL) == Fraction(n)
+    assert parse_scalar(str(n), F101) == F101.from_int(n)
 
 
 def test_long_negative_fraction_round_trip():
