@@ -55,9 +55,10 @@ class DetReport:
     vdm_a * vdm_b exactly; for CAUCHY_BINET, value = sum of subset_terms.
     A CAUCHY_BINET report keeps each term as an integer numerator over the
     shared denominator term_den, and builds the (subset, scalar) pairs of
-    subset_terms on their first read (only det --show-terms reads them);
-    other methods have none. Reports compare and hash by the public fields
-    and subset_terms, whatever the route's denominator.
+    subset_terms on their first read (of the CLI, only det --show-terms);
+    other methods have none. Reports compare and hash by value, method, the
+    four factors and subset_terms, not by the stored numerators, which
+    differ between the two routes.
     """
 
     value: Scalar

@@ -8,6 +8,7 @@ from evalmat import scalar
 from evalmat.matrix import DenseMatrix, PointVectors, evaluation_matrix
 from evalmat.poly import HomogeneousPoly, UnivariatePoly
 from evalmat.scalar import (
+    _SPLIT_DIGITS,
     RATIONAL,
     DomainMismatchError,
     FpElement,
@@ -20,7 +21,6 @@ from evalmat.scalar import (
     parse_domain,
     parse_scalar,
 )
-from evalmat.scalar import _SPLIT_DIGITS
 
 F7 = PrimeField(7)
 F101 = PrimeField(101)
