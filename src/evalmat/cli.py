@@ -11,17 +11,18 @@ from dataclasses import dataclass
 
 from . import bench as bench_mod
 from .det import (
+    BORDERLINE,
     DIRECT,
     H_ROUTE,
     ORACLE,
+    SUM_FORM,
     LinearChange,
-    det_borderline,
-    det_cauchy_binet,
     det_structured,
-    det_sum_form,
+    engines,
     oracle_det,
     predict_equivariant_det,
     report_to_json,
+    run_engine,
     support_subsets,
 )
 from .ffprob import (
@@ -138,28 +139,27 @@ def _read_instance(args) -> Instance:
 def cmd_det(args) -> int:
     inst = _read_instance(args)
     p, pts = inst.poly, inst.pts
-    method = args.method
-    if method == "auto" and args.show_terms and isinstance(p, HomogeneousPoly) and pts.n <= p.degree:
-        method = "cb-direct"  # only the minor expansion has subset terms to show
-    if method == "auto":
-        report = det_structured(p, pts)
-    elif method == "oracle":
-        report = oracle_det(p, pts)
-    elif method == "sum-form":
-        if not isinstance(p, UnivariatePoly):
-            raise ValueError("--method sum-form needs a sum_form polynomial")
-        report = det_sum_form(p, pts)
-    elif not isinstance(p, HomogeneousPoly):
-        raise ValueError(f"--method {method} needs a homogeneous polynomial")
-    elif method == "borderline":
-        report = det_borderline(p, pts)
-    else:
-        s = support_subsets(p, pts.n)
-        if s > CB_VERIFY_BUDGET:
-            raise SizeMismatchError(
-                f"Cauchy-Binet expansion over {s} support subsets > limit {CB_VERIFY_BUDGET}"
-            )
-        report = det_cauchy_binet(p, pts, DIRECT if method == "cb-direct" else H_ROUTE)
+    name = {  # --method's engine (see det.engines); None for auto
+        "oracle": ORACLE,
+        "borderline": BORDERLINE,
+        "cb-direct": DIRECT,
+        "cb-h": H_ROUTE,
+        "sum-form": SUM_FORM,
+    }.get(args.method)
+    if name is None and args.show_terms:
+        # only the minor expansion has subset terms to show: DIRECT replaces
+        # ORACLE where DIRECT applies
+        names = engines(p, pts.n)
+        name = DIRECT if names[0] == ORACLE and DIRECT in names else names[0]
+    elif name not in (None, ORACLE) and (name == SUM_FORM) != isinstance(p, UnivariatePoly):
+        # SUM_FORM needs a sum form; BORDERLINE and both Cauchy-Binet routes a homogeneous p
+        kind = "sum_form" if name == SUM_FORM else "homogeneous"
+        raise ValueError(f"--method {args.method} needs a {kind} polynomial")
+    if name in (DIRECT, H_ROUTE) and (s := support_subsets(p, pts.n)) > CB_VERIFY_BUDGET:
+        raise SizeMismatchError(
+            f"Cauchy-Binet expansion over {s} support subsets > limit {CB_VERIFY_BUDGET}"
+        )
+    report = det_structured(p, pts) if name is None else run_engine(name, p, pts)
     out = {"domain": inst.domain.name}
     out.update(report_to_json(report, include_terms=args.show_terms))
     print(json.dumps(out, indent=2))
@@ -167,27 +167,20 @@ def cmd_det(args) -> int:
 
 
 def _engine_values(inst: Instance):
-    """(label, value), oracle last: det_structured's engine at n >= k+1 and,
-    for a homogeneous p at n <= k+1, both Cauchy-Binet routes.
+    """(label, value) of each engine of det.engines, oracle last.
 
     A Cauchy-Binet route over CB_VERIFY_BUDGET support subsets is not run;
     its value is the text of a SKIPPED line instead.
     """
     p, pts = inst.poly, inst.pts
-    n, k = pts.n, p.degree
     rows = []
-    if n >= k + 1:
-        report = det_structured(p, pts)
-        rows.append((report.method, report.value))
-    if isinstance(p, HomogeneousPoly) and n <= k + 1:
-        s = support_subsets(p, n)
-        routes = (("CAUCHY_BINET_DIRECT", DIRECT), ("CAUCHY_BINET_H_ROUTE", H_ROUTE))
-        for label, mode in routes:
-            if s > CB_VERIFY_BUDGET:
-                rows.append((label, f"SKIPPED ({s} subsets > {CB_VERIFY_BUDGET})"))
-            else:
-                rows.append((label, det_cauchy_binet(p, pts, mode).value))
-    rows.append((ORACLE, oracle_det(p, pts).value))
+    for name in [e for e in engines(p, pts.n) if e != ORACLE] + [ORACLE]:
+        cb = name in (DIRECT, H_ROUTE)
+        label = f"CAUCHY_BINET_{name.upper()}" if cb else name
+        if cb and (s := support_subsets(p, pts.n)) > CB_VERIFY_BUDGET:
+            rows.append((label, f"SKIPPED ({s} subsets > {CB_VERIFY_BUDGET})"))
+        else:
+            rows.append((label, run_engine(name, p, pts).value))
     return rows
 
 
@@ -254,7 +247,7 @@ def _resolve_seed(args) -> int:
 
 
 def cmd_ffprob(args) -> int:
-    if args.coeffs:
+    if args.coeffs is not None:
         coeffs = tuple(_parsed("--coeffs", _int_list, args.coeffs))
         if len(coeffs) != args.k + 1:
             raise ValueError(f"--coeffs needs k+1 = {args.k + 1} entries, got {len(coeffs)}")

@@ -5,7 +5,8 @@ relative to the degree k decides the method, for homogeneous polynomials and
 sum forms f(x+y) alike: n >= k+2 vanishes by rank, n = k+1 factors into sign *
 coefficient product * two Vandermonde products, and n <= k expands a
 homogeneous polynomial as a column-subset minor sum where that is cheaper than
-elimination, which answers everything else (see det_structured).
+elimination, which answers everything else. engines() holds this rule for
+every caller.
 """
 
 from __future__ import annotations
@@ -121,25 +122,43 @@ def oracle_det(p: HomogeneousPoly | UnivariatePoly, pts: PointVectors) -> DetRep
     return DetReport(dom.ratio(num, math.prod(row_den + col_den)), ORACLE)
 
 
-def det_structured(p: HomogeneousPoly | UnivariatePoly, pts: PointVectors) -> DetReport:
-    """Dispatch on the size regime: vanish (n >= k+2), the closed form at
-    n = k+1 (det_sum_form for a sum form, det_borderline otherwise), or,
-    for n <= k, the cheaper of Cauchy-Binet and elimination.
+def engines(p: HomogeneousPoly | UnivariatePoly, n: int) -> tuple[str, ...]:
+    """The engines that apply to p at n points, auto's choice first:
+    - n >= k+2: VANISH_RANK;
+    - n = k+1: SUM_FORM for a sum form, else BORDERLINE, DIRECT and H_ROUTE;
+    - n <= k: ORACLE for a sum form, else DIRECT and H_ROUTE, behind ORACLE
+      where elimination is the cheaper.
 
     The minor expansion costs about S*n^3 for S = support_subsets(p, n);
     building A and eliminating it once costs about n^2(k+1) + n^3.
-    Cauchy-Binet (DIRECT) runs when S*n <= k+1+n, which includes
-    n = 1 and S = 0, where the empty sum gives 0 without building a matrix.
-    Otherwise, and for a sum form at n <= k, oracle_det answers (ORACLE).
+    Cauchy-Binet goes first when S*n <= k+1+n, which includes n = 1 and
+    S = 0, where the empty sum gives 0 without building a matrix.
     """
-    n, k = pts.n, p.degree
+    k = p.degree
     if n >= k + 2:
-        return DetReport(value=pts.domain.zero, method=VANISH_RANK)
+        return (VANISH_RANK,)
+    if isinstance(p, UnivariatePoly):
+        return (SUM_FORM,) if n == k + 1 else (ORACLE,)
     if n == k + 1:
-        return det_sum_form(p, pts) if isinstance(p, UnivariatePoly) else det_borderline(p, pts)
-    if isinstance(p, UnivariatePoly) or support_subsets(p, n) * n > k + 1 + n:
-        return oracle_det(p, pts)
-    return det_cauchy_binet(p, pts)
+        return (BORDERLINE, DIRECT, H_ROUTE)
+    cheap = support_subsets(p, n) * n <= k + 1 + n
+    return (DIRECT, H_ROUTE) if cheap else (ORACLE, DIRECT, H_ROUTE)
+
+
+def run_engine(name: str, p: HomogeneousPoly | UnivariatePoly, pts: PointVectors) -> DetReport:
+    """The report of the engine called name (see engines). Each engine is
+    looked up by name in this module at every call, so one replaced here (by
+    a tracer or a test) is the one that runs."""
+    if name == VANISH_RANK:
+        return DetReport(value=pts.domain.zero, method=VANISH_RANK)
+    if name in (DIRECT, H_ROUTE):
+        return det_cauchy_binet(p, pts, name)
+    return {ORACLE: oracle_det, BORDERLINE: det_borderline, SUM_FORM: det_sum_form}[name](p, pts)
+
+
+def det_structured(p: HomogeneousPoly | UnivariatePoly, pts: PointVectors) -> DetReport:
+    """The report of auto's engine, the first of engines(p, n)."""
+    return run_engine(engines(p, pts.n)[0], p, pts)
 
 
 def support_subsets(p: HomogeneousPoly, n: int) -> int:

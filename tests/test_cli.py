@@ -812,3 +812,70 @@ def test_unreadable_in_file_exit_2(monkeypatch, capsys, tmp_path, kind):
         code, out, err = run_main_full(monkeypatch, capsys, [command, "--in", str(path)], BORDERLINE_INSTANCE)
         assert (code, out) == (2, ""), (kind, command)
         assert err.startswith("error: ") and err.count("\n") == 1, (kind, command, err)
+
+
+def test_ffprob_empty_coeffs_exit_2(monkeypatch, capsys):
+    # an explicitly empty --coeffs ran the all-ones polynomial and exited 0
+    args = ["ffprob", "--p", "7", "--n", "2", "--k", "1", "--coeffs", "", "--trials", "5", "--seed", "1"]
+    code, out, err = run_main_full(monkeypatch, capsys, args)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --coeffs: ")
+
+
+def _instance(poly, n):
+    a, b = [str(i) for i in range(n)], [str(i + 1) for i in range(n)]
+    return json.dumps({"domain": "rational", "poly": poly, "a": a, "b": b})
+
+
+QUADRATIC = {"kind": "homogeneous", "degree": 2, "coeffs": ["1", "2", "1"]}
+ENGINE_INSTANCES = {  # the first of det.engines at each
+    "quadratic n=1": _instance(QUADRATIC, 1),  # DIRECT
+    "quadratic n=2": _instance(QUADRATIC, 2),  # ORACLE, then DIRECT and H_ROUTE
+    "quadratic n=3": _instance(QUADRATIC, 3),  # BORDERLINE
+    "square n=2": _instance(SQUARE, 2),  # ORACLE alone
+    "square n=3": _instance(SQUARE, 3),  # SUM_FORM
+}
+CB = "det_cauchy_binet"
+ENGINE_CALLS = [
+    (["det"], "quadratic n=1", [CB]),
+    (["det"], "quadratic n=2", ["oracle_det"]),
+    (["det"], "quadratic n=3", ["det_borderline"]),
+    (["det"], "square n=3", ["det_sum_form"]),
+    (["det", "--method", "oracle"], "quadratic n=3", ["oracle_det"]),
+    (["det", "--method", "borderline"], "quadratic n=3", ["det_borderline"]),
+    (["det", "--method", "sum-form"], "square n=3", ["det_sum_form"]),
+    (["det", "--method", "cb-direct"], "quadratic n=2", [CB]),
+    (["det", "--method", "cb-h"], "quadratic n=2", [CB]),
+    (["det", "--show-terms"], "quadratic n=2", [CB]),
+    (["det", "--show-terms"], "quadratic n=3", ["det_borderline"]),
+    (["det", "--show-terms"], "square n=2", ["oracle_det"]),
+    (["det", "--show-terms"], "square n=3", ["det_sum_form"]),
+    (["verify"], "quadratic n=2", [CB, CB, "oracle_det"]),
+    (["verify"], "quadratic n=3", ["det_borderline", CB, CB, "oracle_det"]),
+    (["verify"], "square n=2", ["oracle_det"]),
+    (["verify"], "square n=3", ["det_sum_form", "oracle_det"]),
+]
+
+
+@pytest.mark.parametrize(
+    "args, instance, called", ENGINE_CALLS, ids=[f"{' '.join(a)} {i}" for a, i, _ in ENGINE_CALLS]
+)
+def test_engines_are_looked_up_on_det_at_call_time(monkeypatch, capsys, args, instance, called):
+    # a tracer or a test replaces an engine on evalmat.det by name, and every
+    # command must then run the replacement, in the order det.engines gives
+    import evalmat.det as det_mod
+
+    calls = []
+
+    def spy(name, engine):
+        def spied(*a):
+            calls.append(name)
+            return engine(*a)
+
+        return spied
+
+    for name in ("oracle_det", "det_borderline", "det_sum_form", CB):
+        monkeypatch.setattr(det_mod, name, spy(name, getattr(det_mod, name)))
+    code, out, err = run_main_full(monkeypatch, capsys, args, ENGINE_INSTANCES[instance])
+    assert (code, err) == (0, "")
+    assert calls == called

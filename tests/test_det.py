@@ -22,6 +22,7 @@ from evalmat.det import (
     det_cauchy_binet,
     det_structured,
     det_sum_form,
+    engines,
     oracle_det,
     pascal_core_det,
     predict_equivariant_det,
@@ -770,3 +771,50 @@ def test_sum_form_regime_check(engine):
     label = "sum form" if engine == "sum_form" else "pascal core"
     with pytest.raises(SizeMismatchError, match=f"{label} needs n = deg f \\+ 1, got n=2, deg=2"):
         run(UnivariatePoly([1, 0, 3]), 2)
+
+
+def _rules_before_engines(p, n):
+    """The three regime rules as det_structured, verify and det --show-terms
+    wrote them before det.engines held them: (auto's engine, verify's rows,
+    --show-terms' engine)."""
+    k, homogeneous = p.degree, isinstance(p, HomogeneousPoly)
+    if n >= k + 2:
+        auto = VANISH_RANK
+    elif n == k + 1:
+        auto = BORDERLINE if homogeneous else SUM_FORM
+    elif not homogeneous or math.comb(len(p.support()), n) * n > k + 1 + n:
+        auto = ORACLE
+    else:
+        auto = DIRECT
+    rows = [auto] if n >= k + 1 else []
+    rows += [DIRECT, H_ROUTE] if homogeneous and n <= k + 1 else []
+    show_terms = DIRECT if homogeneous and n <= k else auto
+    return auto, rows + [ORACLE], show_terms
+
+
+def test_engines_match_the_rules_they_replace():
+    # dense, sparse and all-zero supports, sum forms (the zero one included),
+    # at every n from 1 to k+2 over Q and F_101
+    seen = set()
+    for dom, k in itertools.product([RATIONAL, F101], range(7)):
+        polys = [
+            HomogeneousPoly(k, [i + 1 for i in range(k + 1)], dom),
+            HomogeneousPoly(k, [int(i % 2 == 0) for i in range(k + 1)], dom),
+            HomogeneousPoly(k, [0] * (k + 1), dom),
+            UnivariatePoly([1] * (k + 1), dom),
+            UnivariatePoly([0] * (k + 1), dom),
+        ]
+        for p in polys:
+            for n in range(1, max(p.degree, 0) + 3):
+                auto, rows, show_terms = _rules_before_engines(p, n)
+                names = engines(p, n)
+                assert names[0] == auto, (p, n)
+                assert [e for e in names if e != ORACLE] + [ORACLE] == rows, (p, n)
+                shown = DIRECT if names[0] == ORACLE and DIRECT in names else names[0]
+                assert shown == show_terms, (p, n)
+                pts = PointVectors(range(n), range(1, n + 1), dom)
+                method = CAUCHY_BINET if auto == DIRECT else auto
+                assert det_structured(p, pts).method == method, (p, n)
+                seen.add((auto, show_terms))
+    # both sides of the cost rule, and DIRECT in place of ORACLE, were reached
+    assert {(DIRECT, DIRECT), (ORACLE, DIRECT), (ORACLE, ORACLE)} <= seen
