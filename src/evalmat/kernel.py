@@ -60,12 +60,25 @@ determinants of that image over Z use it: ``product_det`` and
 ascending powers keep Bareiss' minors small while H stays large: at
 n = 29, W took 75 ms by Bareiss against 250 ms by CRT one prime at a time.
 (The Jacobi-Trudi determinants of the Cauchy-Binet H route reach this
-kernel only as their l(lam) x l(lam) block, and not at all at n = k+1,
-where lam is empty.)
+kernel only as their l(lam) x l(lam) block or through ``minors``, and not
+at all at n = k+1, where lam is empty.)
+
+All maximal minors at once. The Cauchy-Binet expansion needs det of the
+first n entries of every n of m rows, C(m, n) determinants that share
+their smaller minors. ``minors`` builds them level by level: level r holds
+the minors of every r rows on the first r columns, each expanded along
+column r-1 over level r-1, with the rows, positions and cofactor signs it
+reads fixed by (m, n) alone and kept in a small memo. It pays while the
+levels below n are no larger than level n, 2n <= m + 1; past that they
+grow like 2^m (m = n = 95 would need about 2^95), which is why the
+Cauchy-Binet routes choose by that rule and otherwise call ``det`` per
+minor.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from operator import mul
 
@@ -380,6 +393,53 @@ def _cofactor_det(m: list[list[int]]) -> int:
         - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
         + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
     )
+
+
+def minors(rows: list[list[int]], n: int, mod: int | None = None) -> list[int]:
+    """det of the first n entries of rows[i], i in each n-combination of
+    range(len(rows)), in itertools.combinations order: the determinants that
+    ``det`` gives, all at once. Level r holds the minors of every r rows on
+    columns 0..r-1, each expanded along column r-1 over level r-1 by the
+    index plan of _minor_plan, and is reduced mod ``mod`` once; level 1 is
+    column 0 itself. A minor costs r products at level r against one n x n
+    elimination each, and the levels below n hold no more minors than level
+    n while 2n <= len(rows) + 1; past that they grow like 2^len(rows)."""
+    if not n:
+        return [1]
+    level = [row[0] for row in rows]
+    for r, terms in enumerate(_minor_plan(len(rows), n), 2):
+        col = [row[r - 1] for row in rows]
+        col += [-x for x in col]
+        (first, below), *rest = terms
+        acc = [col[i] * level[j] for i, j in zip(first, below)]
+        for rows_t, below in rest:
+            acc = [s + col[i] * level[j] for s, i, j in zip(acc, rows_t, below)]
+        level = acc if mod is None else [x % mod for x in acc]
+    return level
+
+
+@functools.lru_cache(maxsize=64)
+def _minor_plan(m: int, n: int) -> tuple:
+    """The plan of ``minors`` for m rows: for each level r = 2..n, r pairs
+    (rows_t, below_t) with one entry per r-combination R of range(m), in
+    combinations order. Entry t of R's Laplace expansion along column r-1
+    reads row R[t], plus m where its sign (-1)^(t+r-1) is negative (the
+    negated half of the column), and the level r-1 position of R without
+    R[t]. It depends on (m, n) only and holds tuples, so every caller may
+    share it."""
+    position = {(i,): i for i in range(m)}
+    plan = []
+    for r in range(2, n + 1):
+        combos = list(itertools.combinations(range(m), r))
+        terms = []
+        for t in range(r):
+            flip = m if (t + r - 1) % 2 else 0
+            rows_t = tuple(c[t] + flip for c in combos)
+            below = tuple(position[c[:t] + c[t + 1 :]] for c in combos)
+            terms.append((rows_t, below))
+        plan.append(tuple(terms))
+        position = {c: j for j, c in enumerate(combos)}
+    return tuple(plan)
 
 
 # det_multimodular's primes, descending from 2^62; found on first use, never

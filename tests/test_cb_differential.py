@@ -19,10 +19,15 @@ and 10 over Q, and by elimination mod p past kernel.BAREISS_MAX_N at 9 and
 10 rows over F_101. Each route takes every minor's rows from tables built
 once per expansion, so a table row that one minor's elimination changed
 would corrupt the later terms that read it.
+
+A fourth test holds both routes' terms to freshly built minors on supports
+just inside and just outside 2n <= m + 1, the rule under which every
+minor of a side comes from one kernel.minors pass.
 """
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import prod
 
 import pytest
@@ -126,3 +131,41 @@ def test_routes_agree_term_by_term_where_minors_are_consumed(field, n):
         assert term == minor_det(v, subset) * alpha * minor_det(w, subset)
     assert direct.value == h_route.value == oracle_det(p, pts).value
     assert direct.value != 0
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(101)])
+@pytest.mark.parametrize("n,m", [(3, 5), (3, 4), (4, 7), (4, 6)])
+def test_one_pass_and_per_subset_minors_give_the_same_terms(monkeypatch, field, n, m):
+    # supports of m coefficients just inside (2n = m + 1) and just outside
+    # (2n = m + 2) the rule under which both routes take every minor of a
+    # side from kernel.minors; each term is held to minor_det on freshly
+    # built V and W, and the pass is seen to run on exactly one side
+    calls, minors = [], kernel.minors
+
+    def spy(rows, n, mod=None):
+        calls.append(n)
+        return minors(rows, n, mod)
+
+    monkeypatch.setattr(kernel, "minors", spy)
+    k = m + 2
+    rng = random.Random(40 * n + m)
+    support = sorted(rng.sample(range(k + 1), m))
+    if field is None:
+        pool = sorted({Fraction(u, v) for u in range(-9, 10) for v in range(1, 6)})
+        a, b = rng.sample(pool, n), rng.sample(pool, n)
+        coeffs = [Fraction(rng.randint(1, 9), rng.randint(1, 3)) if i in support else 0 for i in range(k + 1)]
+    else:
+        a, b = rng.sample(range(field.p), n), rng.sample(range(field.p), n)
+        coeffs = [rng.randrange(1, field.p) if i in support else 0 for i in range(k + 1)]
+    p = HomogeneousPoly(k, coeffs, field)
+    pts = PointVectors(a, b, field)
+    v, _, w = factorization_parts(p, pts)
+    for mode in (DIRECT, H_ROUTE):
+        calls.clear()
+        report = det_cauchy_binet(p, pts, mode)
+        assert calls == ([n, n] if 2 * n <= m + 1 else []), mode
+        assert [subset for subset, _ in report.subset_terms] == list(combinations(support, n))
+        for subset, term in report.subset_terms:
+            alpha = prod((p.coeffs[i] for i in subset), start=pts.domain.one)
+            assert term == minor_det(v, subset) * alpha * minor_det(w, subset), (mode, subset)
+        assert report.value == oracle_det(p, pts).value != 0

@@ -18,7 +18,8 @@ Cauchy-Binet budget (h3b, h16b, q5b), and sum forms at n <= deg f (s3, s16).
 
 Columns ending in 3 are over F_101, a = (1, 2, 4), b = (3, 5, 9):
   H3   homogeneous (1, 2, 3), k = 2;
-  h3   homogeneous (1, ..., 5), k = 4;
+  h3   homogeneous (1, ..., 5), k = 4, the one column whose Cauchy-Binet
+       minors come from kernel.minors (m = 5 coefficients, n = 3);
   h3b  the same with CB_VERIFY_BUDGET patched to 5 < S = 10;
   S3   the sum form 1 + 2t + 3t^2;
   s3   the sum form 1 + 2t + ... + 5t^4.
@@ -52,6 +53,7 @@ sum_form_det     | -    | -    | -     | FAIL | PASS* | -             | -       
 vandermonde      | FAIL | FAIL | -     | FAIL | -     | FAIL          | -             | FAIL          | -     | FAIL          | -
 h_table          | -    | FAIL | -     | -    | -     | -             | -             | -             | -     | -             | -
 det              | FAIL | FAIL | PASS* | FAIL | PASS* | FAIL          | -             | -             | PASS* | FAIL          | PASS*
+minors           | -    | FAIL | -     | -    | -     | -             | -             | -             | -     | -             | -
 _eliminate       | -    | -    | -     | -    | -     | FAIL          | PASS*         | FAIL          | PASS* | FAIL          | -
 det_multimodular | -    | -    | -     | -    | -     | -             | -             | -             | -     | FAIL          | -
 _slot_bytes      | -    | -    | -     | -    | -     | OverflowError | OverflowError | OverflowError | PASS* | OverflowError | -
@@ -99,6 +101,7 @@ FAULTS = dict(
         _wrapped("vandermonde", lambda orig, xs, mod=None: _reduced(2 * orig(xs, mod), mod)),
         _wrapped("h_table", _h_table),
         _wrapped("det", lambda orig, a, mod=None: _reduced(2 * orig(a, mod), mod)),
+        _wrapped("minors", lambda orig, rows, n, mod=None: [_reduced(2 * x, mod) for x in orig(rows, n, mod)]),
         _wrapped("_eliminate", _eliminate),
         _wrapped("det_multimodular", lambda orig, a: orig(a) + 1),
         _wrapped("_slot_bytes", lambda orig, bound: orig(bound) - 1),

@@ -6,10 +6,12 @@ forms. The multimodular determinant over Z is checked against Bareiss, and
 its grouped moduli against the primes one at a time. ``det``'s cofactor
 path and ``sum_form``'s two Horner modes are checked against a Leibniz
 expansion and against f evaluated entry by entry, and ``det``'s routes on
-both sides of BAREISS_MAX_N against Bareiss over Z and elimination mod p."""
+both sides of BAREISS_MAX_N against Bareiss over Z and elimination mod p.
+``minors`` is checked against a Leibniz expansion of each combination."""
 
 import hashlib
 import io
+import itertools
 import json
 import math
 import random
@@ -512,3 +514,29 @@ def test_det_route_follows_bareiss_max_n(monkeypatch, patch, limit):
         received.clear()
         assert kernel.det(a, p) == (d % p if rank == n else 0)
         assert received == ([] if n <= 4 else [None if n <= limit else p]), n
+
+
+# (rows, n): n = 0 and 1, 2n = m + 1, m = n, m < n and wider shapes
+MINOR_SHAPES = [(3, 0), (4, 1), (1, 1), (3, 2), (5, 3), (7, 4), (2, 2), (3, 3), (4, 4), (6, 2), (6, 5), (8, 3), (2, 3)]
+
+
+@pytest.mark.parametrize("mod", [None, 2, 101, 2**31 - 1])
+@pytest.mark.parametrize("m,n", MINOR_SHAPES)
+def test_minors_match_leibniz_per_combination(mod, m, n):
+    """minors lists det of the first n entries of each n-combination of rows,
+    in combinations order, exact over Z and in [0, p) over F_p; rows of
+    zeros and repeated rows give zero minors, and the rows are left as they
+    are. Each row has one entry more than the minors read."""
+    rng = random.Random(31 * m + n)
+    entry = (lambda: rng.randrange(-9, 10)) if mod is None else (lambda: rng.randrange(mod))
+    for case in range(3):
+        rows = [[entry() for _ in range(n + 1)] for _ in range(m)]
+        if case == 1 and m:
+            rows[-1] = [0] * (n + 1)
+        if case == 2 and m >= 2:
+            rows[m // 2] = rows[0][:]
+        before = [row[:] for row in rows]
+        expected = [leibniz_det([rows[i][:n] for i in c]) for c in itertools.combinations(range(m), n)]
+        got = kernel.minors(rows, n, mod)
+        assert got == [d if mod is None else d % mod for d in expected], case
+        assert rows == before
