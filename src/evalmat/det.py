@@ -130,13 +130,11 @@ def engines(p: HomogeneousPoly | UnivariatePoly, n: int) -> tuple[str, ...]:
       where elimination is the cheaper.
 
     The minor expansion costs about S*n^3 for S = support_subsets(p, n)
-    when each minor is eliminated on its own; building A and eliminating it
-    once costs about n^2(k+1) + n^3. Cauchy-Binet goes first when
-    S*n <= k+1+n, which includes n = 1 and S = 0, where the empty sum gives
-    0 without building a matrix. The rule still prices that per-subset
-    expansion where det_cauchy_binet takes every minor of a side in one
-    kernel.minors pass (2n <= m+1, about n products per minor), so that
-    the method auto reports stays the same.
+    when each minor is eliminated on its own, as DIRECT does; building A and
+    eliminating it once costs about n^2(k+1) + n^3. Cauchy-Binet goes first
+    when S*n <= k+1+n, which includes n = 1 and S = 0, where the empty sum
+    gives 0 without building a matrix. H_ROUTE's one kernel.minors pass per
+    side (det_cauchy_binet) is not priced, since auto never picks H_ROUTE.
     """
     k = p.degree
     if n >= k + 2:
@@ -216,17 +214,19 @@ def det_cauchy_binet(
     builds the term scalars only when subset_terms is read.
 
     Each route builds its tables once per call and takes every minor from
-    whole rows of them (a minor's transpose has its determinant). For a
-    support of m coefficients with 2n <= m + 1, each side's C(m, n) minors
-    come from one kernel.minors pass over the m rows i of the support, in
-    ascending order: DIRECT the rows k - i of V's transpose and the rows i
-    of W's; H_ROUTE the whole n x n Jacobi-Trudi rows pad[k - i : k - i + n]
-    and pad[i : i + n] of one H table per side behind n - 1 zeros, whose
-    ascending W side costs (-1)^C(n,2). Otherwise the levels below n would
-    outgrow the last, and kernel.det takes each minor on its own: DIRECT
-    the rows k - i, i in reversed(I), of V's transpose and the rows i in I
-    of W's, each copied since kernel.det consumes its rows; H_ROUTE the
-    slices pad[e : e + l(lam)] (see _jacobi_trudi).
+    whole rows of them (a minor's transpose has its determinant). DIRECT
+    hands kernel.det the rows k - i, i in reversed(I), of V's transpose and
+    the rows i in I of W's, each copied since kernel.det consumes its rows.
+    H_ROUTE reads one H table per side behind n - 1 zeros. On a support of
+    m coefficients with 2n <= m + 1 it takes each side's C(m, n) minors
+    from one kernel.minors pass over the whole n x n Jacobi-Trudi rows
+    pad[k - i : k - i + n] and pad[i : i + n], i in the support ascending,
+    whose ascending W side costs (-1)^C(n,2); otherwise kernel.det takes
+    each minor's slices pad[e : e + l(lam)] (see _jacobi_trudi). The rule
+    keeps each level of the pass below n no larger than its last. It is a
+    conservative bound, not a measured crossover: the pass measured faster
+    at some shapes outside it and slower at (m, n) = (3, 2) inside it
+    (CHANGES.md).
 
     Every support subset is listed up front, with no limit (a dense p at
     n = 10, k = 60 has 9.0e10): a caller should count them with
@@ -247,28 +247,21 @@ def det_cauchy_binet(
     subsets = list(itertools.combinations(support, n))
     # reversing the n columns of a minor multiplies it by (-1)^C(n,2)
     sign = -1 if binomial(n, 2) % 2 else 1
-    # every minor of a side from kernel.minors' one pass where its levels
-    # below n are no larger than level n; one kernel call per minor otherwise
-    one_pass = 2 * n <= len(support) + 1
+    minors = []
     if minor_mode == DIRECT:
-        # V's minor on columns I has the exponents k - i, i in I, descending.
-        # One pass reads them so, as the rows k - i of V^T for ascending i;
-        # per subset, it is eliminated on the same exponents ascending (W's
-        # order), since Bareiss' leading minors then stay ordinary
-        # Vandermondes of low degree, and the column reversal costs the sign.
-        # V^T and W^T hold tuples, so kernel.det, which consumes its rows,
-        # only gets copies
+        # V's minor on columns I has the exponents k - i, i in I, descending;
+        # it is eliminated on the same exponents ascending (W's order), since
+        # Bareiss' leading minors then stay ordinary Vandermondes of low
+        # degree, and the column reversal costs the sign. V^T and W^T hold
+        # tuples, so kernel.det, which consumes its rows, only gets copies
         v, v_den = power_image(pts.a, k, dom)
         w, w_den = power_image(pts.b, k, dom)
         vt, wt = list(zip(*v)), list(zip(*w))
         den = e**n * math.prod(v_den + w_den)
-        if one_pass:
-            mvs = kernel.minors([vt[k - i] for i in support], n, mod)
-            mws = kernel.minors([wt[i] for i in support], n, mod)
-        else:
-            mvs = [sign * kernel.det([list(vt[k - i]) for i in reversed(sub)], mod) for sub in subsets]
-            mws = [kernel.det([list(wt[i]) for i in sub], mod) for sub in subsets]
-        minors = [mv * mw for mv, mw in zip(mvs, mws)]
+        for subset in subsets:
+            mv = kernel.det([list(vt[k - i]) for i in reversed(subset)], mod)
+            mw = kernel.det([list(wt[i]) for i in subset], mod)
+            minors.append(sign * mv * mw)
     else:
         # a descending-exponent minor is prod_{r<r'}(x_r - x_{r'}) * s_lam,
         # i.e. (-1)^C(n,2) times the ascending Vandermonde product; W's
@@ -283,19 +276,19 @@ def det_cauchy_binet(
         pad_b = [0] * (n - 1) + kernel.h_table(xb, depth, mod)
         scale = sign * kernel.vandermonde(xa, mod) * kernel.vandermonde(xb, mod)
         den = e**n * (ga * gb) ** (n * k)
-        if one_pass:
-            # the whole n x n Jacobi-Trudi matrices; W's rows i ascending
-            # are its descending rows reversed, which costs the sign again
+        if 2 * n <= len(support) + 1:
+            # every minor of a side in one pass over the whole n x n
+            # Jacobi-Trudi matrices; W's rows i ascending are its descending
+            # rows reversed, which costs the sign again
             mvs = kernel.minors([pad_a[k - i : k - i + n] for i in support], n, mod)
             mws = kernel.minors([pad_b[i : i + n] for i in support], n, mod)
             scale *= sign
         else:
             mvs = [_jacobi_trudi([k - i for i in subset], pad_a, mod) for subset in subsets]
             mws = [_jacobi_trudi(subset[::-1], pad_b, mod) for subset in subsets]
-        minors = [
-            scale * mv * mw * ga**s * gb ** (n * k - s)
-            for mv, mw, s in zip(mvs, mws, map(sum, subsets))
-        ]
+        for subset, mv, mw in zip(subsets, mvs, mws):
+            s = sum(subset)
+            minors.append(scale * mv * mw * ga**s * gb ** (n * k - s))
     nums = [x * math.prod(c[i] for i in subset) for subset, x in zip(subsets, minors)]
     terms = tuple(zip(subsets, nums))
     return DetReport(dom.ratio(sum(nums), den), CAUCHY_BINET, term_nums=terms, term_den=den)

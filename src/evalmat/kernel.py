@@ -68,18 +68,17 @@ first n entries of every n of m rows, C(m, n) determinants that share
 their smaller minors. ``minors`` builds them level by level: level r holds
 the minors of every r rows on the first r columns, each expanded along
 column r-1 over level r-1, with the rows, positions and cofactor signs it
-reads fixed by (m, n) alone and kept in a small memo. It pays while the
-levels below n are no larger than level n, 2n <= m + 1; past that they
-grow like 2^m (m = n = 95 would need about 2^95), which is why the
-Cauchy-Binet routes choose by that rule and otherwise call ``det`` per
-minor.
+reads fixed by (m, n) alone and rebuilt on every call. Each level below
+n is no larger than level n while 2n <= m + 1; past that they grow like
+2^m (m = n = 95 would need about 2^95). The Cauchy-Binet H route takes
+the pass by that rule, a conservative bound that measurement does not
+follow at every shape (CHANGES.md), and otherwise calls ``det`` per minor.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
+from itertools import chain, repeat
 from operator import mul
 
 from .scalar import is_prime
@@ -398,48 +397,47 @@ def _cofactor_det(m: list[list[int]]) -> int:
 def minors(rows: list[list[int]], n: int, mod: int | None = None) -> list[int]:
     """det of the first n entries of rows[i], i in each n-combination of
     range(len(rows)), in itertools.combinations order: the determinants that
-    ``det`` gives, all at once. Level r holds the minors of every r rows on
-    columns 0..r-1, each expanded along column r-1 over level r-1 by the
-    index plan of _minor_plan, and is reduced mod ``mod`` once; level 1 is
-    column 0 itself. A minor costs r products at level r against one n x n
-    elimination each, and the levels below n hold no more minors than level
+    ``det`` gives, all at once, reduced into [0, mod) when mod is given.
+
+    Level r holds the minors of every r rows on columns 0..r-1, each the
+    Laplace expansion along column r-1 over level r-1: r products per minor
+    at level r, against one n x n elimination per minor for ``det``. The
+    levels run over the rows reversed, in colex order, where the r-row
+    combinations whose last row is j come after every combination of rows
+    below j, so each level's plan (per cofactor t: the row read and the
+    level r-1 position of the minor without it) is built from the last by
+    slices and offsets, with no search and no memo. Colex order over the
+    reversed rows is combinations order reversed, and each minor then reads
+    its rows bottom up, which costs (-1)^C(n,2), put on column 0. Each level
+    is reduced mod ``mod`` once. Each level below n is no larger than level
     n while 2n <= len(rows) + 1; past that they grow like 2^len(rows)."""
     if not n:
         return [1]
-    level = [row[0] for row in rows]
-    for r, terms in enumerate(_minor_plan(len(rows), n), 2):
-        col = [row[r - 1] for row in rows]
-        col += [-x for x in col]
-        (first, below), *rest = terms
-        acc = [col[i] * level[j] for i, j in zip(first, below)]
-        for rows_t, below in rest:
-            acc = [s + col[i] * level[j] for s, i, j in zip(acc, rows_t, below)]
-        level = acc if mod is None else [x % mod for x in acc]
-    return level
-
-
-@functools.lru_cache(maxsize=64)
-def _minor_plan(m: int, n: int) -> tuple:
-    """The plan of ``minors`` for m rows: for each level r = 2..n, r pairs
-    (rows_t, below_t) with one entry per r-combination R of range(m), in
-    combinations order. Entry t of R's Laplace expansion along column r-1
-    reads row R[t], plus m where its sign (-1)^(t+r-1) is negative (the
-    negated half of the column), and the level r-1 position of R without
-    R[t]. It depends on (m, n) only and holds tuples, so every caller may
-    share it."""
-    position = {(i,): i for i in range(m)}
-    plan = []
+    m = len(rows)
+    rows = rows[::-1]
+    level = [-row[0] if n % 4 > 1 else row[0] for row in rows]
+    if mod is not None:
+        level = [x % mod for x in level]
+    plan = [(range(m), [0] * m)]
     for r in range(2, n + 1):
-        combos = list(itertools.combinations(range(m), r))
-        terms = []
-        for t in range(r):
-            flip = m if (t + r - 1) % 2 else 0
-            rows_t = tuple(c[t] + flip for c in combos)
-            below = tuple(position[c[:t] + c[t + 1 :]] for c in combos)
-            terms.append((rows_t, below))
-        plan.append(tuple(terms))
-        position = {c: j for j, c in enumerate(combos)}
-    return tuple(plan)
+        # level r's combinations ending in row j, j = r-1..m-1, number
+        # C(j, r-1), as do level r-1's combinations of rows below j
+        sizes = [math.comb(j, r - 1) for j in range(r - 1, m)]
+        plan = [
+            (list(chain.from_iterable(rows_t[:s] for s in sizes)), [s + x for s in sizes for x in below_t[:s]])
+            for rows_t, below_t in plan
+        ]
+        plan.append((list(chain.from_iterable(map(repeat, range(r - 1, m), sizes))), list(chain.from_iterable(map(range, sizes)))))
+        # column r-1 as it stands and negated: cofactor t has sign (-1)^(t+r-1)
+        col = [row[r - 1] for row in rows]
+        signed = (col, [-x for x in col])
+        (first, below), *rest = plan
+        acc = [signed[(r - 1) % 2][i] * level[j] for i, j in zip(first, below)]
+        for t, (rows_t, below_t) in enumerate(rest, r):
+            c = signed[t % 2]
+            acc = [a + c[i] * level[j] for a, i, j in zip(acc, rows_t, below_t)]
+        level = acc if mod is None else [x % mod for x in acc]
+    return level[::-1]
 
 
 # det_multimodular's primes, descending from 2^62; found on first use, never

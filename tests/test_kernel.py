@@ -524,11 +524,12 @@ MINOR_SHAPES = [(3, 0), (4, 1), (1, 1), (3, 2), (5, 3), (7, 4), (2, 2), (3, 3), 
 @pytest.mark.parametrize("m,n", MINOR_SHAPES)
 def test_minors_match_leibniz_per_combination(mod, m, n):
     """minors lists det of the first n entries of each n-combination of rows,
-    in combinations order, exact over Z and in [0, p) over F_p; rows of
-    zeros and repeated rows give zero minors, and the rows are left as they
-    are. Each row has one entry more than the minors read."""
+    in combinations order, exact over Z and in [0, p) over F_p, also from
+    entries that are negative or past p; rows of zeros and repeated rows
+    give zero minors, and the rows are left as they are. Each row has one
+    entry more than the minors read."""
     rng = random.Random(31 * m + n)
-    entry = (lambda: rng.randrange(-9, 10)) if mod is None else (lambda: rng.randrange(mod))
+    entry = (lambda: rng.randrange(-9, 10)) if mod is None else (lambda: rng.randrange(-mod, 2 * mod))
     for case in range(3):
         rows = [[entry() for _ in range(n + 1)] for _ in range(m)]
         if case == 1 and m:
