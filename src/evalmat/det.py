@@ -224,9 +224,8 @@ def det_cauchy_binet(
     whose ascending W side costs (-1)^C(n,2); otherwise kernel.det takes
     each minor's slices pad[e : e + l(lam)] (see _jacobi_trudi). The rule
     keeps each level of the pass below n no larger than its last. It is a
-    conservative bound, not a measured crossover: the pass measured faster
-    at some shapes outside it and slower at (m, n) = (3, 2) inside it
-    (CHANGES.md).
+    bound, not a measured crossover: the pass measured faster at some
+    shapes outside it and slower at S <= 20 inside it (CHANGES.md).
 
     Every support subset is listed up front, with no limit (a dense p at
     n = 10, k = 60 has 9.0e10): a caller should count them with

@@ -71,8 +71,8 @@ column r-1 over level r-1, with the rows, positions and cofactor signs it
 reads fixed by (m, n) alone and rebuilt on every call. Each level below
 n is no larger than level n while 2n <= m + 1; past that they grow like
 2^m (m = n = 95 would need about 2^95). The Cauchy-Binet H route takes
-the pass by that rule, a conservative bound that measurement does not
-follow at every shape (CHANGES.md), and otherwise calls ``det`` per minor.
+the pass by that rule, a bound on the levels' sizes rather than a measured
+crossover (CHANGES.md), and otherwise calls ``det`` per minor.
 """
 
 from __future__ import annotations
@@ -418,6 +418,7 @@ def minors(rows: list[list[int]], n: int, mod: int | None = None) -> list[int]:
     level = [-row[0] if n % 4 > 1 else row[0] for row in rows]
     if mod is not None:
         level = [x % mod for x in level]
+    # level 1's plan: combination (i,) reads row i, and the empty minor at 0
     plan = [(range(m), [0] * m)]
     for r in range(2, n + 1):
         # level r's combinations ending in row j, j = r-1..m-1, number
@@ -427,14 +428,16 @@ def minors(rows: list[list[int]], n: int, mod: int | None = None) -> list[int]:
             (list(chain.from_iterable(rows_t[:s] for s in sizes)), [s + x for s in sizes for x in below_t[:s]])
             for rows_t, below_t in plan
         ]
-        plan.append((list(chain.from_iterable(map(repeat, range(r - 1, m), sizes))), list(chain.from_iterable(map(range, sizes)))))
-        # column r-1 as it stands and negated: cofactor t has sign (-1)^(t+r-1)
+        last = list(chain.from_iterable(map(repeat, range(r - 1, m), sizes)))
+        plan.append((last, list(chain.from_iterable(map(range, sizes)))))
+        # column r-1 as it stands and negated: cofactor t reads
+        # signed[(t + r - 1) % 2], its sign (-1)^(t+r-1)
         col = [row[r - 1] for row in rows]
         signed = (col, [-x for x in col])
         (first, below), *rest = plan
         acc = [signed[(r - 1) % 2][i] * level[j] for i, j in zip(first, below)]
-        for t, (rows_t, below_t) in enumerate(rest, r):
-            c = signed[t % 2]
+        for parity, (rows_t, below_t) in enumerate(rest, r):
+            c = signed[parity % 2]
             acc = [a + c[i] * level[j] for a, i, j in zip(acc, rows_t, below_t)]
         level = acc if mod is None else [x % mod for x in acc]
     return level[::-1]
