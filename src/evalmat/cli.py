@@ -6,6 +6,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -128,11 +129,15 @@ def instance_to_json(inst: Instance) -> dict:
 
 
 def _read_instance(args) -> Instance:
-    if args.infile and args.infile != "-":
-        with open(args.infile, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = sys.stdin.read()
+    # a file that cannot be opened or read is an input error, like bad JSON
+    try:
+        if args.infile and args.infile != "-":
+            with open(args.infile, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            text = sys.stdin.read()
+    except OSError as e:
+        raise ValueError(e) from e
     return load_instance(text)
 
 
@@ -328,23 +333,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # looked up per call, not stored in the shared parser, so a cmd_* replaced
-    # on this module (by a tracer or a test) is the one that runs
-    handler = {
-        "det": cmd_det,
-        "verify": cmd_verify,
-        "matrix": cmd_matrix,
-        "ffprob": cmd_ffprob,
-        "bench": cmd_bench,
-    }[args.command]
+    # cmd_<command>, looked up per call in this module's namespace, not
+    # stored in the shared parser, so a cmd_* replaced on this module (by a
+    # tracer or a test) is the one that runs
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return handler(args)
+        code = handler(args)
+        # output still buffered fails here, not at exit, if stdout is closed
+        sys.stdout.flush()
+        return code
     except SizeMismatchError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SIZE
     except bench_mod.BenchMismatchError as e:
         print(f"error: method values disagree: {e}", file=sys.stderr)
         return EXIT_MISMATCH
-    except (ValueError, OSError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except BrokenPipeError:
+        # stdout's reader has gone (`evalmat det ... | head -1`): the rest of
+        # the output goes to devnull, so that the interpreter's flush at exit
+        # cannot fail again (Python's signal docs, "Note on SIGPIPE"), and
+        # the exit status is the shell's for a program that SIGPIPE ends
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 128 + 13  # 13 is SIGPIPE's number

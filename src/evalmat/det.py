@@ -133,8 +133,9 @@ def engines(p: HomogeneousPoly | UnivariatePoly, n: int) -> tuple[str, ...]:
     when each minor is eliminated on its own, as DIRECT does; building A and
     eliminating it once costs about n^2(k+1) + n^3. Cauchy-Binet goes first
     when S*n <= k+1+n, which includes n = 1 and S = 0, where the empty sum
-    gives 0 without building a matrix. H_ROUTE's one kernel.minors pass per
-    side (det_cauchy_binet) is not priced, since auto never picks H_ROUTE.
+    gives 0 without building a matrix. H_ROUTE's one kernel.minors pass for
+    both sides (det_cauchy_binet) is not priced, since auto never picks
+    H_ROUTE.
     """
     k = p.degree
     if n >= k + 2:
@@ -218,14 +219,20 @@ def det_cauchy_binet(
     hands kernel.det the rows k - i, i in reversed(I), of V's transpose and
     the rows i in I of W's, each copied since kernel.det consumes its rows.
     H_ROUTE reads one H table per side behind n - 1 zeros. On a support of
-    m coefficients with 2n <= m + 1 it takes each side's C(m, n) minors
-    from one kernel.minors pass over the whole n x n Jacobi-Trudi rows
-    pad[k - i : k - i + n] and pad[i : i + n], i in the support ascending,
-    whose ascending W side costs (-1)^C(n,2); otherwise kernel.det takes
-    each minor's slices pad[e : e + l(lam)] (see _jacobi_trudi). The rule
-    keeps each level of the pass below n no larger than its last. It is a
-    bound, not a measured crossover: the pass measured faster at some
-    shapes outside it and slower at S <= 20 inside it (CHANGES.md).
+    m coefficients with 2n <= m + 1 it takes both sides' C(m, n) minors
+    from one kernel.minors call, which builds its plan once for the two
+    tables of whole n x n Jacobi-Trudi rows pad[k - i : k - i + n] and
+    pad[i : i + n], i in the support ascending, whose ascending W side costs
+    (-1)^C(n,2); otherwise kernel.det takes each minor's slices
+    pad[e : e + l(lam)] (see _jacobi_trudi). The rule keeps each level of
+    the pass below n no larger than its last. It is a bound, not a measured
+    crossover: the pass measured faster at some shapes outside it and
+    slower at S <= 20 inside it (CHANGES.md).
+
+    Both routes then take every numerator as scale * mv * mw * f in one
+    pass, f the product over I of per-index weights: c_i for DIRECT, and
+    c_i D^i G^(k-i) for H_ROUTE at a = X/D, b = Y/G, which holds the
+    minors' denominators D^(nk - sum I) G^(sum I) since |I| = n.
 
     Every support subset is listed up front, with no limit (a dense p at
     n = 10, k = 60 has 9.0e10): a caller should count them with
@@ -246,7 +253,6 @@ def det_cauchy_binet(
     subsets = list(itertools.combinations(support, n))
     # reversing the n columns of a minor multiplies it by (-1)^C(n,2)
     sign = -1 if binomial(n, 2) % 2 else 1
-    minors = []
     if minor_mode == DIRECT:
         # V's minor on columns I has the exponents k - i, i in I, descending;
         # it is eliminated on the same exponents ascending (W's order), since
@@ -257,15 +263,16 @@ def det_cauchy_binet(
         w, w_den = power_image(pts.b, k, dom)
         vt, wt = list(zip(*v)), list(zip(*w))
         den = e**n * math.prod(v_den + w_den)
-        for subset in subsets:
-            mv = kernel.det([list(vt[k - i]) for i in reversed(subset)], mod)
-            mw = kernel.det([list(wt[i]) for i in subset], mod)
-            minors.append(sign * mv * mw)
+        scale, weights = sign, [c[i] for i in support]
+        mvs = [kernel.det([list(vt[k - i]) for i in reversed(subset)], mod) for subset in subsets]
+        mws = [kernel.det([list(wt[i]) for i in subset], mod) for subset in subsets]
     else:
         # a descending-exponent minor is prod_{r<r'}(x_r - x_{r'}) * s_lam,
         # i.e. (-1)^C(n,2) times the ascending Vandermonde product; W's
         # column reversal contributes the same sign again, cancelling it.
-        # Over a = X/D, b = Y/G the minors carry D^(nk - sum I) G^(sum I).
+        # Over a = X/D, b = Y/G the minors carry D^(nk - sum I) G^(sum I),
+        # so over (DG)^(nk) term I gains D^(sum I) G^(nk - sum I): since
+        # |I| = n, the product over I of index i's weight D^i G^(k-i)
         xa, ga = dom.lift(pts.a)
         xb, gb = dom.lift(pts.b)
         # a block reads H up to lam_1 + l(lam) - 1 <= k; at n = k+1 the one
@@ -275,20 +282,20 @@ def det_cauchy_binet(
         pad_b = [0] * (n - 1) + kernel.h_table(xb, depth, mod)
         scale = sign * kernel.vandermonde(xa, mod) * kernel.vandermonde(xb, mod)
         den = e**n * (ga * gb) ** (n * k)
+        weights = [c[i] * ga**i * gb ** (k - i) for i in support]
         if 2 * n <= len(support) + 1:
-            # every minor of a side in one pass over the whole n x n
+            # every minor of both sides in one pass over the whole n x n
             # Jacobi-Trudi matrices; W's rows i ascending are its descending
             # rows reversed, which costs the sign again
-            mvs = kernel.minors([pad_a[k - i : k - i + n] for i in support], n, mod)
-            mws = kernel.minors([pad_b[i : i + n] for i in support], n, mod)
+            tables = [pad_a[k - i : k - i + n] for i in support], [pad_b[i : i + n] for i in support]
+            mvs, mws = kernel.minors(tables, n, mod)
             scale *= sign
         else:
             mvs = [_jacobi_trudi([k - i for i in subset], pad_a, mod) for subset in subsets]
             mws = [_jacobi_trudi(subset[::-1], pad_b, mod) for subset in subsets]
-        for subset, mv, mw in zip(subsets, mvs, mws):
-            s = sum(subset)
-            minors.append(scale * mv * mw * ga**s * gb ** (n * k - s))
-    nums = [x * math.prod(c[i] for i in subset) for subset, x in zip(subsets, minors)]
+    # term I's factor prod_{i in I} weights[i], in the order of subsets
+    factors = map(math.prod, itertools.combinations(weights, n))
+    nums = [scale * mv * mw * f for mv, mw, f in zip(mvs, mws, factors)]
     terms = tuple(zip(subsets, nums))
     return DetReport(dom.ratio(sum(nums), den), CAUCHY_BINET, term_nums=terms, term_den=den)
 

@@ -68,11 +68,13 @@ first n entries of every n of m rows, C(m, n) determinants that share
 their smaller minors. ``minors`` builds them level by level: level r holds
 the minors of every r rows on the first r columns, each expanded along
 column r-1 over level r-1, with the rows, positions and cofactor signs it
-reads fixed by (m, n) alone and rebuilt on every call. Each level below
-n is no larger than level n while 2n <= m + 1; past that they grow like
-2^m (m = n = 95 would need about 2^95). The Cauchy-Binet H route takes
-the pass by that rule, a bound on the levels' sizes rather than a measured
-crossover (CHANGES.md), and otherwise calls ``det`` per minor.
+reads fixed by (m, n) alone: one call takes every table of that shape and
+builds this plan once for all of them, and no plan outlives the call. Each
+level below n is no larger than level n while 2n <= m + 1; past that they
+grow like 2^m (m = n = 95 would need about 2^95). The Cauchy-Binet H route
+takes the pass for both sides in one call by that rule, a bound on the
+levels' sizes rather than a measured crossover (CHANGES.md), and otherwise
+calls ``det`` per minor.
 """
 
 from __future__ import annotations
@@ -394,10 +396,12 @@ def _cofactor_det(m: list[list[int]]) -> int:
     )
 
 
-def minors(rows: list[list[int]], n: int, mod: int | None = None) -> list[int]:
-    """det of the first n entries of rows[i], i in each n-combination of
-    range(len(rows)), in itertools.combinations order: the determinants that
-    ``det`` gives, all at once, reduced into [0, mod) when mod is given.
+def minors(tables: list[list[list[int]]], n: int, mod: int | None = None) -> list[list[int]]:
+    """For each table of one shape (the same number of rows, each with at
+    least n entries), det of the first n entries of rows[i], i in each
+    n-combination of range(len(rows)), in itertools.combinations order: the
+    determinants that ``det`` gives, all at once, reduced into [0, mod) when
+    mod is given. One list per table, in the order of tables.
 
     Level r holds the minors of every r rows on columns 0..r-1, each the
     Laplace expansion along column r-1 over level r-1: r products per minor
@@ -406,21 +410,19 @@ def minors(rows: list[list[int]], n: int, mod: int | None = None) -> list[int]:
     combinations whose last row is j come after every combination of rows
     below j, so each level's plan (per cofactor t: the row read and the
     level r-1 position of the minor without it) is built from the last by
-    slices and offsets, with no search and no memo. Colex order over the
-    reversed rows is combinations order reversed, and each minor then reads
-    its rows bottom up, which costs (-1)^C(n,2), put on column 0. Each level
-    is reduced mod ``mod`` once. Each level below n is no larger than level
-    n while 2n <= len(rows) + 1; past that they grow like 2^len(rows)."""
-    if not n:
-        return [1]
-    m = len(rows)
-    rows = rows[::-1]
-    level = [-row[0] if n % 4 > 1 else row[0] for row in rows]
-    if mod is not None:
-        level = [x % mod for x in level]
-    # level 1's plan: combination (i,) reads row i, and the empty minor at 0
-    plan = [(range(m), [0] * m)]
-    for r in range(2, n + 1):
+    slices and offsets, with no search and no memo. The plan depends on the
+    shape alone, so it is built once per call and read by every table.
+    Colex order over the reversed rows is combinations order reversed, and
+    each minor then reads its rows bottom up, which costs (-1)^C(n,2), put
+    on level 0, the empty minor. Each level is reduced mod ``mod`` once.
+    Each level below n is no larger than level n while 2n <= len(rows) + 1;
+    past that they grow like 2^len(rows)."""
+    m = len(tables[0])
+    tables = [rows[::-1] for rows in tables]
+    # level 0 is the empty minor, with the sign of reading rows bottom up
+    levels = [[-1 if n % 4 > 1 else 1] for _ in tables]
+    plan = []
+    for r in range(1, n + 1):
         # level r's combinations ending in row j, j = r-1..m-1, number
         # C(j, r-1), as do level r-1's combinations of rows below j
         sizes = [math.comb(j, r - 1) for j in range(r - 1, m)]
@@ -430,17 +432,18 @@ def minors(rows: list[list[int]], n: int, mod: int | None = None) -> list[int]:
         ]
         last = list(chain.from_iterable(map(repeat, range(r - 1, m), sizes)))
         plan.append((last, list(chain.from_iterable(map(range, sizes)))))
-        # column r-1 as it stands and negated: cofactor t reads
-        # signed[(t + r - 1) % 2], its sign (-1)^(t+r-1)
-        col = [row[r - 1] for row in rows]
-        signed = (col, [-x for x in col])
         (first, below), *rest = plan
-        acc = [signed[(r - 1) % 2][i] * level[j] for i, j in zip(first, below)]
-        for parity, (rows_t, below_t) in enumerate(rest, r):
-            c = signed[parity % 2]
-            acc = [a + c[i] * level[j] for a, i, j in zip(acc, rows_t, below_t)]
-        level = acc if mod is None else [x % mod for x in acc]
-    return level[::-1]
+        for slot, (rows, level) in enumerate(zip(tables, levels)):
+            # column r-1 as it stands and negated: cofactor t reads
+            # signed[(t + r - 1) % 2], its sign (-1)^(t+r-1)
+            col = [row[r - 1] for row in rows]
+            signed = (col, [-x for x in col])
+            acc = [signed[(r - 1) % 2][i] * level[j] for i, j in zip(first, below)]
+            for parity, (rows_t, below_t) in enumerate(rest, r):
+                c = signed[parity % 2]
+                acc = [a + c[i] * level[j] for a, i, j in zip(acc, rows_t, below_t)]
+            levels[slot] = acc if mod is None else [x % mod for x in acc]
+    return [level[::-1] for level in levels]
 
 
 # det_multimodular's primes, descending from 2^62; found on first use, never

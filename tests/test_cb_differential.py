@@ -22,7 +22,11 @@ would corrupt the later terms that read it.
 
 A fourth test holds both routes' terms to freshly built minors on supports
 just inside and just outside 2n <= m + 1, the rule under which the H route
-takes every minor of a side from one kernel.minors pass.
+takes every minor of both sides from one kernel.minors call. The last two
+hold each stored numerator over term_den to the same minors: at the edges
+of the expansion (n = 1, one subset at m = n, none at m < n), and over Q at
+points whose common denominators differ between a and b, the H route's
+per-index weights c_i D^i G^(k-i), on both sides of the rule.
 """
 
 import random
@@ -140,12 +144,12 @@ def test_one_pass_and_per_subset_minors_give_the_same_terms(monkeypatch, field, 
     # (2n = m + 2) the rule under which the H route takes every minor of a
     # side from kernel.minors; each term is held to minor_det on freshly
     # built V and W, and the pass is seen to run on exactly one side of the
-    # rule, and never for DIRECT
+    # rule, once for both sides, and never for DIRECT
     calls, minors = [], kernel.minors
 
-    def spy(rows, n, mod=None):
-        calls.append(n)
-        return minors(rows, n, mod)
+    def spy(tables, n, mod=None):
+        calls.append((len(tables), n))
+        return minors(tables, n, mod)
 
     monkeypatch.setattr(kernel, "minors", spy)
     k = m + 2
@@ -164,9 +168,71 @@ def test_one_pass_and_per_subset_minors_give_the_same_terms(monkeypatch, field, 
     for mode in (DIRECT, H_ROUTE):
         calls.clear()
         report = det_cauchy_binet(p, pts, mode)
-        assert calls == ([n, n] if mode == H_ROUTE and 2 * n <= m + 1 else []), mode
+        assert calls == ([(2, n)] if mode == H_ROUTE and 2 * n <= m + 1 else []), mode
         assert [subset for subset, _ in report.subset_terms] == list(combinations(support, n))
         for subset, term in report.subset_terms:
             alpha = prod((p.coeffs[i] for i in subset), start=pts.domain.one)
             assert term == minor_det(v, subset) * alpha * minor_det(w, subset), (mode, subset)
         assert report.value == oracle_det(p, pts).value != 0
+
+
+def _assert_terms_are_minors(p, pts, report, support):
+    # every numerator over term_den, and every term scalar, is
+    # det V(:,I) * prod_{i in I} alpha_i * det W(:,I) on fresh V and W
+    v, _, w = factorization_parts(p, pts)
+    subsets = list(combinations(support, pts.n))
+    assert [subset for subset, _ in report.term_nums] == subsets
+    assert [subset for subset, _ in report.subset_terms] == subsets
+    for (subset, num), (_, term) in zip(report.term_nums, report.subset_terms):
+        alpha = prod((p.coeffs[i] for i in subset), start=pts.domain.one)
+        expected = minor_det(v, subset) * alpha * minor_det(w, subset)
+        assert pts.domain.ratio(num, report.term_den) == term == expected, subset
+
+
+@pytest.mark.parametrize("mode", [DIRECT, H_ROUTE])
+@pytest.mark.parametrize("field", [None, PrimeField(2**31 - 1)])
+@pytest.mark.parametrize(
+    "n,support",
+    [(1, [0, 2, 3, 5]), (3, [1, 3, 4]), (4, [0, 2, 5])],
+    ids=["n=1", "m=n", "m<n"],
+)
+def test_edge_expansions_match_minors(field, n, support, mode):
+    # n = 1 takes the H route's pass, m = n its one subset per subset, and
+    # m < n lists no subset at all and gives 0
+    k = 5
+    rng = random.Random(60 * n + len(support))
+    if field is None:
+        pool = sorted({Fraction(u, v) for u in range(-9, 10) for v in range(1, 6)})
+        a, b = rng.sample(pool, n), rng.sample(pool, n)
+        coeffs = [Fraction(rng.randint(1, 9), rng.randint(1, 3)) if i in support else 0 for i in range(k + 1)]
+    else:
+        a, b = rng.sample(range(field.p), n), rng.sample(range(field.p), n)
+        coeffs = [rng.randrange(1, field.p) if i in support else 0 for i in range(k + 1)]
+    p = HomogeneousPoly(k, coeffs, field)
+    pts = PointVectors(a, b, field)
+    report = det_cauchy_binet(p, pts, mode)
+    _assert_terms_are_minors(p, pts, report, support)
+    assert len(report.term_nums) == len(list(combinations(support, n)))
+    assert report.value == oracle_det(p, pts).value
+    assert (report.value == 0) == (len(support) < n)
+
+
+@pytest.mark.parametrize("mode", [DIRECT, H_ROUTE])
+@pytest.mark.parametrize(
+    "n,support",
+    [(3, [0, 1, 3, 5, 8]), (3, [1, 2, 6, 7]), (4, [0, 1, 2, 4, 5, 7, 8]), (4, [0, 3, 4, 6, 7, 8])],
+    ids=["n=3 pass", "n=3 per subset", "n=4 pass", "n=4 per subset"],
+)
+def test_rational_denominators_enter_each_term(n, support, mode):
+    # a over D = 60, b over G = 77: D^i G^(k-i) differs from D^(k-i) G^i
+    # and from G^(k-i) alone at every i, so a weight that drops either
+    # power, or swaps i and k - i, changes a term
+    k = 8
+    a = [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4), Fraction(7, 5)][:n]
+    b = [Fraction(3, 7), Fraction(-1, 11), Fraction(4, 7), Fraction(2, 1)][:n]
+    coeffs = [Fraction(i + 2, 1 + i % 3) if i in support else 0 for i in range(k + 1)]
+    p = HomogeneousPoly(k, coeffs)
+    pts = PointVectors(a, b)
+    report = det_cauchy_binet(p, pts, mode)
+    _assert_terms_are_minors(p, pts, report, support)
+    assert report.value == oracle_det(p, pts).value != 0

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -812,6 +813,52 @@ def test_unreadable_in_file_exit_2(monkeypatch, capsys, tmp_path, kind):
         code, out, err = run_main_full(monkeypatch, capsys, [command, "--in", str(path)], BORDERLINE_INSTANCE)
         assert (code, out) == (2, ""), (kind, command)
         assert err.startswith("error: ") and err.count("\n") == 1, (kind, command, err)
+
+
+class ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises BrokenPipeError.
+    Its file descriptor is a scratch file's, so that main() may point it
+    at devnull."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def fileno(self):
+        return self.fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("command", ["det", "verify", "matrix"])
+def test_closed_stdout_is_no_input_error(monkeypatch, capsys, tmp_path, command):
+    # `evalmat det ... | head -1` exited 2 with "error: [Errno 32] Broken
+    # pipe"; it now exits 128 + SIGPIPE without a word, and the rest of the
+    # output goes to devnull
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(BORDERLINE_INSTANCE))
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+        code = main([command])
+        monkeypatch.undo()
+        assert (code, capsys.readouterr().err) == (141, "")
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # the same through a real pipe whose reader closed before any write:
+    # no traceback, also none from the interpreter's own flush at exit
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "evalmat", "det", "--show-terms"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(BORDERLINE_INSTANCE.encode(), timeout=60)
+    assert (proc.returncode, err) == (141, b"")
 
 
 def test_ffprob_empty_coeffs_exit_2(monkeypatch, capsys):

@@ -91,6 +91,11 @@ def _eliminate(orig, live, cols, size, mod):
     return rank, 2 * d % mod
 
 
+def _minors(orig, tables, n, mod=None):
+    # every minor of every table doubled
+    return [[_reduced(2 * x, mod) for x in minors] for minors in orig(tables, n, mod)]
+
+
 FAULTS = dict(
     [
         _wrapped("powers", _powers),
@@ -101,7 +106,7 @@ FAULTS = dict(
         _wrapped("vandermonde", lambda orig, xs, mod=None: _reduced(2 * orig(xs, mod), mod)),
         _wrapped("h_table", _h_table),
         _wrapped("det", lambda orig, a, mod=None: _reduced(2 * orig(a, mod), mod)),
-        _wrapped("minors", lambda orig, rows, n, mod=None: [_reduced(2 * x, mod) for x in orig(rows, n, mod)]),
+        _wrapped("minors", _minors),
         _wrapped("_eliminate", _eliminate),
         _wrapped("det_multimodular", lambda orig, a: orig(a) + 1),
         _wrapped("_slot_bytes", lambda orig, bound: orig(bound) - 1),

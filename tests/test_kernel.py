@@ -527,17 +527,25 @@ def test_minors_match_leibniz_per_combination(mod, m, n):
     in combinations order, exact over Z and in [0, p) over F_p, also from
     entries that are negative or past p; rows of zeros and repeated rows
     give zero minors, and the rows are left as they are. Each row has one
-    entry more than the minors read."""
+    entry more than the minors read. Each table is taken alone, and then
+    two and three tables of the shape in one call (the second with a zero
+    row), which share one plan: each list is held to its own table's
+    Leibniz minors, so no value can leak from one table into another."""
     rng = random.Random(31 * m + n)
     entry = (lambda: rng.randrange(-9, 10)) if mod is None else (lambda: rng.randrange(-mod, 2 * mod))
+    tables, expected = [], []
     for case in range(3):
         rows = [[entry() for _ in range(n + 1)] for _ in range(m)]
         if case == 1 and m:
             rows[-1] = [0] * (n + 1)
         if case == 2 and m >= 2:
             rows[m // 2] = rows[0][:]
-        before = [row[:] for row in rows]
-        expected = [leibniz_det([rows[i][:n] for i in c]) for c in itertools.combinations(range(m), n)]
-        got = kernel.minors(rows, n, mod)
-        assert got == [d if mod is None else d % mod for d in expected], case
-        assert rows == before
+        dets = [leibniz_det([rows[i][:n] for i in c]) for c in itertools.combinations(range(m), n)]
+        tables.append(rows)
+        expected.append([d if mod is None else d % mod for d in dets])
+    before = [[row[:] for row in rows] for rows in tables]
+    for case, rows in enumerate(tables):
+        assert kernel.minors([rows], n, mod) == [expected[case]], case
+    assert kernel.minors(tables[:2], n, mod) == expected[:2]
+    assert kernel.minors(tables[::-1], n, mod) == expected[::-1]
+    assert tables == before
