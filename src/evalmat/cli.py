@@ -356,7 +356,6 @@ def main(argv=None) -> int:
         # the output goes to devnull, so that the interpreter's flush at exit
         # cannot fail again (Python's signal docs, "Note on SIGPIPE"), and
         # the exit status is the shell's for a program that SIGPIPE ends
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 128 + 13  # 13 is SIGPIPE's number

@@ -196,9 +196,7 @@ def _closed_form(method: str, coeff: Scalar, pts: PointVectors) -> DetReport:
     )
 
 
-def det_cauchy_binet(
-    p: HomogeneousPoly, pts: PointVectors, minor_mode: str = DIRECT
-) -> DetReport:
+def det_cauchy_binet(p: HomogeneousPoly, pts: PointVectors, minor_mode: str = DIRECT) -> DetReport:
     """Minor expansion over n-subsets I of the k+1 columns:
 
         det A = sum_I det(V(:,I)) * prod_{i in I} alpha_i * det(W(:,I)).
@@ -231,8 +229,9 @@ def det_cauchy_binet(
 
     Both routes then take every numerator as scale * mv * mw * f in one
     pass, f the product over I of per-index weights: c_i for DIRECT, and
-    c_i D^i G^(k-i) for H_ROUTE at a = X/D, b = Y/G, which holds the
-    minors' denominators D^(nk - sum I) G^(sum I) since |I| = n.
+    c_i D^i G^(k-i) for H_ROUTE at a = X/D, b = Y/G, which makes up for the
+    minors' denominators D^(nk - sum I) G^(sum I) over the shared (DG)^(nk),
+    since |I| = n.
 
     Every support subset is listed up front, with no limit (a dense p at
     n = 10, k = 60 has 9.0e10): a caller should count them with

@@ -414,15 +414,18 @@ def minors(tables: list[list[list[int]]], n: int, mod: int | None = None) -> lis
     shape alone, so it is built once per call and read by every table.
     Colex order over the reversed rows is combinations order reversed, and
     each minor then reads its rows bottom up, which costs (-1)^C(n,2), put
-    on level 0, the empty minor. Each level is reduced mod ``mod`` once.
-    Each level below n is no larger than level n while 2n <= len(rows) + 1;
-    past that they grow like 2^len(rows)."""
+    on column 0. Each level is reduced mod ``mod`` once. Each level below n
+    is no larger than level n while 2n <= len(rows) + 1; past that they grow
+    like 2^len(rows)."""
+    if not n:
+        return [[1] for _ in tables]
     m = len(tables[0])
     tables = [rows[::-1] for rows in tables]
-    # level 0 is the empty minor, with the sign of reading rows bottom up
-    levels = [[-1 if n % 4 > 1 else 1] for _ in tables]
-    plan = []
-    for r in range(1, n + 1):
+    sign = -1 if n % 4 > 1 else 1
+    levels = [[sign * row[0] if mod is None else sign * row[0] % mod for row in rows] for rows in tables]
+    # level 1's plan: combination (i,) reads row i, and the empty minor at 0
+    plan = [(range(m), [0] * m)]
+    for r in range(2, n + 1):
         # level r's combinations ending in row j, j = r-1..m-1, number
         # C(j, r-1), as do level r-1's combinations of rows below j
         sizes = [math.comb(j, r - 1) for j in range(r - 1, m)]
