@@ -56,7 +56,8 @@ EXIT_SIZE = 3
 
 # Cauchy-Binet expansions run up to this many support subsets; past it verify
 # skips the route and det exits 3. At n = 10 over F_p, p = 2^31-1, C(15,10) =
-# 3003 subsets take DIRECT about 1.0 s and the H route 0.46 s (k = 14) to 0.73 s (k = 29)
+# 3003 subsets take DIRECT 0.51-0.60 s (k = 14) to 0.53-0.77 s (k = 29) and
+# the H route 0.24-0.42 s (k = 14) to 0.39-0.46 s (k = 29)
 CB_VERIFY_BUDGET = 5000
 
 

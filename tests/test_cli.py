@@ -832,9 +832,9 @@ class ClosedPipe(io.TextIOBase):
 
 @pytest.mark.parametrize("command", ["det", "verify", "matrix"])
 def test_closed_stdout_is_no_input_error(monkeypatch, capsys, tmp_path, command):
-    # `evalmat det ... | head -1` exited 2 with "error: [Errno 32] Broken
-    # pipe"; it now exits 128 + SIGPIPE without a word, and the rest of the
-    # output goes to devnull
+    # a reader that has gone (`evalmat det ... | head -1`) is no input
+    # error: main() returns 128 + SIGPIPE without a word, and the rest of
+    # the output goes to devnull
     fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
     try:
         monkeypatch.setattr(sys, "stdin", io.StringIO(BORDERLINE_INSTANCE))
