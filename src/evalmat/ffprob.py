@@ -15,12 +15,21 @@ z *= 0x94D049BB133111EB; z ^= z>>31 (all mod 2^64). Field elements come from
 62-bit draws rejected above the largest multiple of p, then reduced mod p.
 Trial t uses its own stream seeded at mix64(seed) XOR mix64(t * gamma);
 within a trial the draw order is a_1..a_n then b_1..b_n. SplitMix64 and
-trial_stream state this specification. The trial loop draws from the same
-streams DRAW_BATCH trials at a time (_trial_draws): each trial's stream
-start and its first 2n states sit in the 128-bit lanes of one Python int,
-so each step of mix64 is one big-int operation for the whole batch. A trial
-whose first 2n outputs include a rejected one keeps its accepted outputs
-and draws the rest from a SplitMix64 at its 2n-th state.
+trial_stream state this specification.
+
+The trial loop draws from the same streams DRAW_BATCH trials at a time
+(_draw_batches) and keeps each batch in the 128-bit lanes of Python ints
+from the mix to the zero count, draw j of the batch's trial i in lane
+j * b + i, so each step is one big-int operation for the whole batch:
+mix64 of every state; one add and mask that finds whether any output is
+rejected (a batch with one keeps each trial's accepted outputs, draws the
+rest from a SplitMix64 at its 2n-th state and lays the residues out
+again); a multiply and a shift that reduce every output mod p, exact for
+all 62-bit outputs (_Lanes.residues); and pairwise XORs of the point blocks
+that flag each trial with a repeated a_r or b_s (_repeat_free). Per-trial
+lists are read out of the lanes only where a determinant is still needed:
+the first 100 trials that the collision check decides, which are
+cross-checked, and each trial without a repeat off the collision path.
 
 A trial with a repeated a_r or b_s has two equal rows or columns, so its
 determinant is zero on either path. Any other trial off the n = k+1
@@ -34,6 +43,7 @@ det(A mod p) = det(A) mod p), and by elimination mod p above.
 
 from __future__ import annotations
 
+import itertools
 import math
 from array import array
 from dataclasses import dataclass
@@ -89,7 +99,7 @@ def trial_stream(seed: int, trial: int) -> SplitMix64:
     return SplitMix64(mix64(seed) ^ mix64((trial * _GAMMA) & _MASK64))
 
 
-# trials per batch of _trial_draws; see the batch table in CHANGES.md
+# trials per batch of _draw_batches; see the batch table in CHANGES.md
 DRAW_BATCH = 128
 
 
@@ -115,16 +125,50 @@ def _mix64_lanes(z: int, mask: int) -> int:
     return z ^ (z >> 31) & mask
 
 
-def _trial_draws(seed: int, n: int, p: int, trials: int):
-    """Yield each trial's 2n residues a_1..a_n, b_1..b_n: for trial t exactly
-    [trial_stream(seed, t).next_below(p) for _ in range(2n)].
+class _Lanes:
+    """The constants of count 128-bit lanes that hold 62-bit outputs of
+    draws mod p, and the lane-wise rejection test and reduction that read
+    them. Every value in a lane stays below 2^128, so no carry or borrow
+    crosses into the next lane."""
 
-    Up to DRAW_BATCH trials at a time, the stream starts
-    mix64(seed) ^ mix64(t * gamma) and then each trial's first 2n states
-    start + (j+1) * gamma are mixed in 128-bit lanes of one int, state j of
-    trial i in lane j * batch + i. A trial whose 2n outputs are all below the
-    rejection threshold takes them mod p; any other keeps its accepted
-    outputs in order and draws the rest from SplitMix64(start + 2n * gamma)."""
+    def __init__(self, p: int, count: int):
+        ones = _lanes([1], count)
+        self.p, self.low64, self.low62 = p, _MASK64 * ones, ((1 << 62) - 1) * ones
+        self.bit64, self.reject = ones << 64, ((1 << 64) - _rejection_threshold(p)) * ones
+        self.shift = 62 + p.bit_length()
+        self.factor = (1 << self.shift) // p + 1
+        # a quotient is below 2^(63 - bit_length(p)); the next lane's product
+        # comes in at bit 128 - shift = 66 - bit_length(p)
+        self.quotients = ((1 << 128 - self.shift) - 1) * ones
+
+    def rejected(self, u: int) -> bool:
+        """Whether some lane of u is at or above the rejection threshold:
+        u + 2^64 - threshold < 2^65 carries into bit 64 exactly there."""
+        return bool((u + self.reject) & self.bit64)
+
+    def residues(self, u: int) -> int:
+        """u mod p in every lane, all lanes below 2^62: u - p * floor(u * m / 2^s)
+        with s = 62 + bit_length(p) and m = floor(2^s / p) + 1, division by an
+        invariant integer (Granlund and Montgomery, PLDI 1994). It is exact:
+        as 0 < m * p - 2^s <= p, u * m / 2^s exceeds u / p by at most
+        u / 2^s < 2^-bit_length(p) < 1 / p, which keeps it below
+        floor(u / p) + 1. And m <= 2^63 + 1, so u * m < 2^126 stays in its
+        lane."""
+        return u - self.p * (u * self.factor >> self.shift & self.quotients)
+
+
+def _draw_batches(seed: int, n: int, p: int, trials: int):
+    """Yield (b, residues) for each batch of up to DRAW_BATCH consecutive
+    trials, residue j of the batch's trial i in 128-bit lane j * b + i of
+    residues: for trial t exactly [trial_stream(seed, t).next_below(p) for _
+    in range(2n)].
+
+    The stream starts mix64(seed) ^ mix64(t * gamma) and then each trial's
+    first 2n states start + (j+1) * gamma are mixed in the same layout. If
+    _Lanes.rejected finds no output at or above the rejection threshold, the
+    outputs are reduced mod p by _Lanes.residues. Otherwise each trial keeps
+    its accepted outputs in order, draws the rest from
+    SplitMix64(start + 2n * gamma), and the residues are laid out again."""
     seed_mix = mix64(seed)
     threshold = _rejection_threshold(p)
     w, size = 2 * n, 0
@@ -132,25 +176,60 @@ def _trial_draws(seed: int, n: int, p: int, trials: int):
         b = min(DRAW_BATCH, trials - t0)
         if b != size:  # the first batch and a short last one
             size = b
-            lane_mask = _lanes([_MASK64], b * w)
+            lanes = _Lanes(p, b * w)
             seeds = _lanes([seed_mix], b)
             offsets = _lanes(range(b))
             steps = _lanes([(j + 1) * _GAMMA & _MASK64 for j in range(w)], b)
         indexes = _lanes([t0], b) + offsets
-        starts = _mix64_lanes(indexes * _GAMMA, lane_mask) ^ seeds
+        starts = _mix64_lanes(indexes * _GAMMA, lanes.low64) ^ seeds
         # block j of b lanes holds the starts plus (j+1) * gamma
         states = int.from_bytes(starts.to_bytes(16 * b, "little") * w, "little") + steps
         # the shift moves the next lane's bits only above each lane's low 64
-        outputs = _unlanes(_mix64_lanes(states, lane_mask) >> 2, b * w)
-        if max(outputs) < threshold:
-            residues = [u % p for u in outputs]
-            for i in range(b):
-                yield residues[i::b]
+        outputs = _mix64_lanes(states, lanes.low64) >> 2 & lanes.low62
+        if not lanes.rejected(outputs):
+            yield b, lanes.residues(outputs)
             continue
+        drawn = _unlanes(outputs, b * w)
+        draws = []
         for i, start in enumerate(_unlanes(starts, b)):
-            draws = [u % p for u in outputs[i::b] if u < threshold]
+            kept = [u % p for u in drawn[i::b] if u < threshold]
             rest = SplitMix64(start + w * _GAMMA)
-            yield draws + [rest.next_below(p) for _ in range(w - len(draws))]
+            draws.append(kept + [rest.next_below(p) for _ in range(w - len(kept))])
+        yield b, _lanes(itertools.chain.from_iterable(zip(*draws)))
+
+
+def _trial_draws(seed: int, n: int, p: int, trials: int):
+    """Yield each trial's 2n residues a_1..a_n, b_1..b_n: for trial t exactly
+    [trial_stream(seed, t).next_below(p) for _ in range(2n)], as lists read
+    out of _draw_batches' lanes."""
+    for b, residues in _draw_batches(seed, n, p, trials):
+        draws = _unlanes(residues, 2 * n * b)
+        for i in range(b):
+            yield draws[i::b]
+
+
+def _blocks(z: int, count: int, bits: int) -> list[int]:
+    """The count blocks of bits bits that make up z, the lowest first, split
+    in halves: each level of halving copies z once, where a shift per block
+    copies it once per block."""
+    if count == 1:
+        return [z]
+    half = count // 2
+    return _blocks(z & (1 << half * bits) - 1, half, bits) + _blocks(z >> half * bits, count - half, bits)
+
+
+def _repeat_free(residues: int, n: int, b: int) -> int:
+    """For a batch of b trials laid out as by _draw_batches, the int whose
+    lane i has bit 64 set iff trial i's a_1..a_n are distinct and so are its
+    b_1..b_n, and no other bit set. Each pair of point blocks x, y of one
+    side is compared in all b lanes at once: x ^ y is 0 in a lane where the
+    two points are equal, and (x ^ y) + 2^64 - 1 reaches bit 64 iff it is not."""
+    points = _blocks(residues, 2 * n, 128 * b)
+    free, carry = _lanes([1 << 64], b), _lanes([_MASK64], b)
+    for side in (points[:n], points[n:]):
+        for x, y in itertools.combinations(side, 2):
+            free &= (x ^ y) + carry
+    return free
 
 
 @dataclass(frozen=True)
@@ -226,29 +305,40 @@ def estimate_zero_probability(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the seeded Monte-Carlo experiment and count exact zero determinants.
 
     A repeated a_r or b_s makes two rows or columns equal, so det = 0 on
-    every path. At n = k+1, det = +-alpha_k^n * prod_i C(k,i) * vdm(a) * vdm(b)
-    with alpha_k != 0 mod p, so unless p divides some C(k,i), det = 0 exactly
-    when a point repeats and the zero test is this O(n) collision check
-    alone. Otherwise the trials without a repeat are decided by
-    _det_is_zero.
+    every path; _repeat_free flags such trials a batch at a time. At n = k+1,
+    det = +-alpha_k^n * prod_i C(k,i) * vdm(a) * vdm(b) with alpha_k != 0
+    mod p, so unless p divides some C(k,i), det = 0 exactly when a point
+    repeats and the zero test is this collision check alone: a batch past the
+    first 100 trials adds its count of flagged trials and builds no
+    per-trial list. Otherwise the trials without a repeat are decided by
+    _det_is_zero on their points read out of the lanes.
     Each of the first 100 trials that the collision check decides is
     cross-checked against an elimination determinant.
     """
     p = cfg.modulus
     n, k = cfg.n, cfg.k
     use_collision = n == k + 1 and all(binomial(k, i) % p for i in range(k + 1))
-    zero_count = 0
-    for t, draws in enumerate(_trial_draws(cfg.seed, n, p, cfg.trials)):
-        a, b = draws[:n], draws[n:]
-        repeated = len(set(a)) < n or len(set(b)) < n
-        if repeated or use_collision:
-            if t < _ORACLE_SUBSAMPLE and repeated != _det_is_zero(cfg, a, b):
-                raise RuntimeError(
-                    f"collision shortcut disagrees with oracle on trial {t}: a={a} b={b}"
-                )
-            zero_count += repeated
-        elif _det_is_zero(cfg, a, b):
-            zero_count += 1
+    zero_count = t0 = 0
+    for size, residues in _draw_batches(cfg.seed, n, p, cfg.trials):
+        free = _repeat_free(residues, n, size)
+        if use_collision and t0 >= _ORACLE_SUBSAMPLE:
+            zero_count += size - free.bit_count()
+        else:
+            draws = _unlanes(residues, 2 * n * size)
+            for i, distinct in enumerate(_unlanes(free >> 64, size)):
+                t = t0 + i
+                decided = use_collision or not distinct  # by the collision check
+                if decided and t >= _ORACLE_SUBSAMPLE:
+                    zero_count += not distinct
+                    continue
+                a, b = draws[i : n * size : size], draws[n * size + i :: size]
+                zero = _det_is_zero(cfg, a, b)
+                if decided and zero == distinct:
+                    raise RuntimeError(
+                        f"collision shortcut disagrees with oracle on trial {t}: a={a} b={b}"
+                    )
+                zero_count += zero
+        t0 += size
 
     empirical = Fraction(zero_count, cfg.trials)
     variance = empirical * (1 - empirical) / cfg.trials

@@ -11,7 +11,12 @@ from evalmat.ffprob import (
     CSV_HEADER,
     DRAW_BATCH,
     _det_is_zero,
+    _Lanes,
+    _lanes,
+    _rejection_threshold,
+    _repeat_free,
     _trial_draws,
+    _unlanes,
     ExperimentConfig,
     SplitMix64,
     estimate_zero_probability,
@@ -180,6 +185,7 @@ def test_collision_shortcut_cross_check_raises_on_disagreement(monkeypatch):
 
 P31 = 2**31 - 1
 P61 = 2305843009213693967  # the least prime above 2^61: rejects about half of all draws
+P62 = 4611686018427387847  # the largest prime below 2^62
 
 # zero counts recorded before the trial loop inlined its draws
 PINNED_ZERO_COUNTS = [
@@ -379,3 +385,100 @@ def test_cofactor_route_exhaustive(p, n, coeffs, distinct):
             assert _det_is_zero(cfg, a, b) == expected, (a, b)
             zeros += expected
     assert (zeros == len(points) ** 2) == (n > p)
+
+
+LANE_PRIMES = [2, 3, 7, 101, P31, P61, P62]
+
+
+@st.composite
+def lane_outputs(draw):
+    """(p, 62-bit outputs), partly at the edges of reduction and rejection."""
+    p = draw(st.sampled_from(LANE_PRIMES))
+    threshold = _rejection_threshold(p)
+    edges = [u for u in (0, p - 1, p, threshold - 1, threshold, 2**62 - 1) if u < 2**62]
+    output = st.sampled_from(edges) | st.integers(0, 2**62 - 1)
+    return p, draw(st.lists(output, min_size=1, max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lane_outputs())
+@example((2, [2**62 - 1, 0, 1]))
+@example((P62, [P62 - 1, P62, 2**62 - 1]))
+def test_lane_residues_and_rejection_match_scalar_code(case):
+    """_Lanes.residues gives u % p in every lane and nothing above it, and
+    _Lanes.rejected says whether any output is at or above the threshold."""
+    p, outputs = case
+    lanes, u = _Lanes(p, len(outputs)), _lanes(outputs)
+    assert lanes.residues(u) == _lanes([x % p for x in outputs])
+    assert lanes.rejected(u) == any(x >= _rejection_threshold(p) for x in outputs)
+
+
+@st.composite
+def repeat_batches(draw):
+    """(n, trials), each trial (a, b) with a repeat planted in a only, in b
+    only, in both or in neither; points drawn at random may repeat too."""
+    p = draw(st.sampled_from(LANE_PRIMES))
+    n = draw(st.integers(1, 8))
+    point = st.sampled_from([0, p - 1]) | st.integers(0, p - 1)
+    trials = []
+    for _ in range(draw(st.integers(1, 12))):
+        planted = draw(st.sampled_from(["a", "b", "both", "neither"]))
+        sides = []
+        for side in "ab":
+            points = draw(st.lists(point, min_size=n, max_size=n))
+            if n > 1 and planted in (side, "both"):
+                i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+                points[j] = points[i]
+            sides.append(points)
+        trials.append(tuple(sides))
+    return n, trials
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeat_batches())
+def test_lane_repeat_flags_match_sets(case):
+    """_repeat_free sets bit 64 of exactly the lanes of trials whose a and b
+    both have n distinct points, on residues laid out as _draw_batches lays
+    them out: point j of trial i in lane j * (number of trials) + i."""
+    n, trials = case
+    residues = _lanes(itertools.chain.from_iterable(zip(*(a + b for a, b in trials))))
+    expected = [len(set(a)) == n and len(set(b)) == n for a, b in trials]
+    assert _repeat_free(residues, n, len(trials)) == _lanes([free << 64 for free in expected])
+
+
+def _spy_det_is_zero(monkeypatch):
+    import evalmat.ffprob as ffprob_mod
+
+    calls, real = [], ffprob_mod._det_is_zero
+
+    def spy(cfg, a, b):
+        calls.append((a, b))
+        return real(cfg, a, b)
+
+    monkeypatch.setattr(ffprob_mod, "_det_is_zero", spy)
+    return calls
+
+
+@pytest.mark.parametrize("trials", [5, 5000])
+def test_collision_path_cross_checks_exactly_the_first_100_trials(monkeypatch, trials):
+    """On the collision path _det_is_zero runs on trials 0..min(trials, 100)-1
+    alone, in order, and the zero count is the number of trials with a
+    repeated point, counted by sets on the public streams' draws."""
+    calls = _spy_det_is_zero(monkeypatch)
+    cfg = ExperimentConfig(modulus=101, n=3, coeffs=(1, 1, 1), trials=trials, seed=4)
+    res = estimate_zero_probability(cfg)
+    draws = list(_trial_draws(4, 3, 101, trials))
+    assert calls == [(d[:3], d[3:]) for d in draws[:100]]
+    assert res.zero_count == sum(len(set(d[:3])) < 3 or len(set(d[3:])) < 3 for d in draws)
+
+
+def test_elimination_path_determinants_are_the_repeat_free_and_first_100(monkeypatch):
+    """Off the collision path _det_is_zero runs once on every trial without
+    a repeated point, and once on each trial with one among the first 100."""
+    calls = _spy_det_is_zero(monkeypatch)
+    cfg = ExperimentConfig(modulus=7, n=3, coeffs=(1, 2, 3, 4, 5), trials=1000, seed=2)
+    estimate_zero_probability(cfg)
+    draws = [(d[:3], d[3:]) for d in _trial_draws(2, 3, 7, 1000)]
+    repeated = [len(set(a)) < 3 or len(set(b)) < 3 for a, b in draws]
+    assert 100 < sum(repeated[100:]) < 900
+    assert calls == [d for t, d in enumerate(draws) if t < 100 or not repeated[t]]
