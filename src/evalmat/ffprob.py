@@ -190,12 +190,12 @@ def _draw_batches(seed: int, n: int, p: int, trials: int):
             yield b, lanes.residues(outputs)
             continue
         drawn = _unlanes(outputs, b * w)
-        draws = []
+        words = [0] * (2 * b * w)  # each lane's low and high 64 bits
         for i, start in enumerate(_unlanes(starts, b)):
             kept = [u % p for u in drawn[i::b] if u < threshold]
             rest = SplitMix64(start + w * _GAMMA)
-            draws.append(kept + [rest.next_below(p) for _ in range(w - len(kept))])
-        yield b, _lanes(itertools.chain.from_iterable(zip(*draws)))
+            words[2 * i :: 2 * b] = kept + [rest.next_below(p) for _ in range(w - len(kept))]
+        yield b, int.from_bytes(array("Q", words).tobytes(), "little")
 
 
 def _trial_draws(seed: int, n: int, p: int, trials: int):
