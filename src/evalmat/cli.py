@@ -55,9 +55,12 @@ EXIT_INPUT = 2
 EXIT_SIZE = 3
 
 # Cauchy-Binet expansions run up to this many support subsets; past it verify
-# skips the route and det exits 3. At n = 10 over F_p, p = 2^31-1, C(15,10) =
-# 3003 subsets take DIRECT 0.51-0.60 s (k = 14) to 0.53-0.77 s (k = 29) and
-# the H route 0.24-0.42 s (k = 14) to 0.39-0.46 s (k = 29)
+# skips the route and det exits 3. At n = 10, C(15,10) = 3003 subsets take, in
+# s at k = 14 / k = 29 (three random supports, coefficients below 1000, points
+# num/den with num < 1000 and den < 10 over Q; Python 3.11, shared 2-vCPU host):
+#   F_p, p = 2^31-1: DIRECT 0.56-0.57 / 0.55-0.58, H route 0.24-0.40 / 0.36-0.54
+#   Q:               DIRECT 0.74-0.82 / 1.46-2.00, H route 0.52-0.65 / 3.19-5.68
+# and a whole verify over Q at k = 29, both routes and the oracle, 6.0-7.7 s
 CB_VERIFY_BUDGET = 5000
 
 

@@ -236,6 +236,10 @@ def det_cauchy_binet(p: HomogeneousPoly, pts: PointVectors, minor_mode: str = DI
     Every support subset is listed up front, with no limit (a dense p at
     n = 10, k = 60 has 9.0e10): a caller should count them with
     support_subsets first. Only the CLI caps an expansion, at CB_VERIFY_BUDGET.
+    A cap here would also refuse instances that auto sends to DIRECT, which
+    it does wherever S*n <= k+1+n: past a budget of 5,000 at any degree above
+    about 5,000 n, and in the output sweep, whose patched budgets of 1-3 meet
+    S = 3 and 5, four auto dets would exit 3 rather than 0.
     """
     n, k = pts.n, p.degree
     if n > k + 1:

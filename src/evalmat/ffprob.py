@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernel
-from .scalar import PrimeField, binomial
+from .scalar import PrimeField, binomial, format_scalar
 
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -358,6 +358,7 @@ def estimate_zero_probability(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def result_to_json(res: ExperimentResult) -> dict:
+    exact = res.exact_borderline
     return {
         "p": res.modulus,
         "n": res.n,
@@ -365,10 +366,10 @@ def result_to_json(res: ExperimentResult) -> dict:
         "trials": res.trials,
         "seed": res.seed,
         "zero_count": res.zero_count,
-        "empirical": str(res.empirical),
-        "sz_bound": str(res.sz_bound),
-        "exact_borderline": None if res.exact_borderline is None else str(res.exact_borderline),
-        "confidence_halfwidth": str(res.confidence_halfwidth),
+        "empirical": format_scalar(res.empirical),
+        "sz_bound": format_scalar(res.sz_bound),
+        "exact_borderline": None if exact is None else format_scalar(exact),
+        "confidence_halfwidth": format_scalar(res.confidence_halfwidth),
     }
 
 
@@ -376,8 +377,6 @@ CSV_HEADER = "p,n,k,trials,seed,zero_count,empirical,sz_bound,exact_borderline"
 
 
 def result_csv_line(res: ExperimentResult) -> str:
-    exact = "" if res.exact_borderline is None else str(res.exact_borderline)
-    return (
-        f"{res.modulus},{res.n},{res.k},{res.trials},{res.seed},"
-        f"{res.zero_count},{res.empirical},{res.sz_bound},{exact}"
-    )
+    """The CSV_HEADER fields of result_to_json, with "" for no exact_borderline."""
+    row = result_to_json(res)
+    return ",".join("" if row[name] is None else str(row[name]) for name in CSV_HEADER.split(","))

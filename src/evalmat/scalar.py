@@ -91,6 +91,18 @@ class Immutable:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
+def _in_field(op):
+    """The binary operator op(self, other) with other coerced into self's
+    field by _coerce, or NotImplemented for an operand that is not a scalar,
+    which hands the operation on to Python's reflected-operand fallback."""
+
+    def coerced(self, other):
+        other = _coerce(other, self.field)
+        return NotImplemented if other is None else op(self, other)
+
+    return coerced
+
+
 class FpElement(Immutable):
     """An element of F_p. Immutable; arithmetic stays inside one field.
 
@@ -106,44 +118,32 @@ class FpElement(Immutable):
         object.__setattr__(self, "value", value % field.p)
         object.__setattr__(self, "field", field)
 
+    @_in_field
     def __add__(self, other):
-        other = _coerce(other, self.field)
-        if other is None:
-            return NotImplemented
         return FpElement(self.value + other.value, self.field)
 
     __radd__ = __add__
 
+    @_in_field
     def __sub__(self, other):
-        other = _coerce(other, self.field)
-        if other is None:
-            return NotImplemented
         return FpElement(self.value - other.value, self.field)
 
+    @_in_field
     def __rsub__(self, other):
-        other = _coerce(other, self.field)
-        if other is None:
-            return NotImplemented
         return FpElement(other.value - self.value, self.field)
 
+    @_in_field
     def __mul__(self, other):
-        other = _coerce(other, self.field)
-        if other is None:
-            return NotImplemented
         return FpElement(self.value * other.value, self.field)
 
     __rmul__ = __mul__
 
+    @_in_field
     def __truediv__(self, other):
-        other = _coerce(other, self.field)
-        if other is None:
-            return NotImplemented
         return self * other.inverse()
 
+    @_in_field
     def __rtruediv__(self, other):
-        other = _coerce(other, self.field)
-        if other is None:
-            return NotImplemented
         return other * self.inverse()
 
     def __pow__(self, exponent: int):
@@ -301,12 +301,9 @@ def _coerce(x, domain: ScalarDomain):
     scalar of another domain a DomainMismatchError, anything else None."""
     if isinstance(x, int):
         return domain.from_int(x)
-    if isinstance(x, FpElement):
-        owner = x.field
-    elif isinstance(x, Fraction):
-        owner = RATIONAL
-    else:
+    if not isinstance(x, (FpElement, Fraction)):
         return None
+    owner = domain_of(x)
     if owner is not domain and owner != domain:
         raise DomainMismatchError(f"cannot mix {owner.name} and {domain.name}")
     return x

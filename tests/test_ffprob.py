@@ -482,3 +482,24 @@ def test_elimination_path_determinants_are_the_repeat_free_and_first_100(monkeyp
     repeated = [len(set(a)) < 3 or len(set(b)) < 3 for a, b in draws]
     assert 100 < sum(repeated[100:]) < 900
     assert calls == [d for t, d in enumerate(draws) if t < 100 or not repeated[t]]
+
+
+def test_output_past_the_digit_limit_round_trips():
+    """JSON and CSV print every Fraction by format_scalar, so an exact
+    borderline probability of over 4,300 digits (2n log10 q at n = 500)
+    prints and parses back under CPython's int/str digit limit."""
+    from evalmat.ffprob import ExperimentResult
+    from evalmat.scalar import RATIONAL, parse_scalar
+
+    n, q = 500, 2**31 - 1
+    values = {
+        "empirical": Fraction(3, 1000),
+        "sz_bound": sz_bound(n, n - 1, q),
+        "exact_borderline": exact_borderline_probability(n, q),
+        "confidence_halfwidth": Fraction(1, 7),
+    }
+    res = ExperimentResult(modulus=q, n=n, k=n - 1, trials=1000, seed=0, zero_count=3, **values)
+    out = result_to_json(res)
+    assert {name: parse_scalar(out[name], RATIONAL) for name in values} == values
+    cells = result_csv_line(res).split(",")
+    assert [parse_scalar(cell, RATIONAL) for cell in cells[6:]] == list(values.values())[:3]

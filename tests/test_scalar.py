@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -412,3 +413,27 @@ def test_one_scalar_domain_rule(entry, case):
     else:
         got = enter(dom, x)
         assert got == enter(dom, outcome) and domain_of(got) == dom
+
+
+class _Reflected:
+    """A non-scalar whose reflected operators report which one ran."""
+
+    def __radd__(self, left):
+        return "__radd__", left
+
+    def __rsub__(self, left):
+        return "__rsub__", left
+
+    def __rmul__(self, left):
+        return "__rmul__", left
+
+    def __rtruediv__(self, left):
+        return "__rtruediv__", left
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "truediv"])
+def test_operators_hand_a_non_scalar_to_its_reflected_method(op):
+    """FpElement's forward operators return NotImplemented for a non-scalar
+    rather than raise, so Python calls the other operand's reflected method."""
+    x = FpElement(3, F7)
+    assert getattr(operator, op)(x, _Reflected()) == (f"__r{op}__", x)
