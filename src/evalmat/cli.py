@@ -18,13 +18,13 @@ from .det import (
     ORACLE,
     SUM_FORM,
     LinearChange,
+    SubsetBudgetError,
     det_structured,
     engines,
     oracle_det,
     predict_equivariant_det,
     report_to_json,
     run_engine,
-    support_subsets,
 )
 from .ffprob import (
     ExperimentConfig,
@@ -54,14 +54,12 @@ EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_SIZE = 3
 
-# Cauchy-Binet expansions run up to this many support subsets; past it verify
-# skips the route and det exits 3. At n = 10, C(15,10) = 3003 subsets take, in
-# s at k = 14 / k = 29 (three random supports, coefficients below 1000, points
-# num/den with num < 1000 and den < 10 over Q; Python 3.11, shared 2-vCPU host):
-#   F_p, p = 2^31-1: DIRECT 0.56-0.57 / 0.55-0.58, H route 0.24-0.40 / 0.36-0.54
-#   Q:               DIRECT 0.74-0.82 / 1.46-2.00, H route 0.52-0.65 / 3.19-5.68
-# and a whole verify over Q at k = 29, both routes and the oracle, 6.0-7.7 s
-CB_VERIFY_BUDGET = 5000
+# det --method's choices, in --help's order, and their engines (see
+# det.engines); auto, None, takes det.engines' first
+METHODS = {
+    "auto": None, "oracle": ORACLE, "borderline": BORDERLINE,
+    "cb-direct": DIRECT, "cb-h": H_ROUTE, "sum-form": SUM_FORM,
+}
 
 
 @dataclass
@@ -148,13 +146,7 @@ def _read_instance(args) -> Instance:
 def cmd_det(args) -> int:
     inst = _read_instance(args)
     p, pts = inst.poly, inst.pts
-    name = {  # --method's engine (see det.engines); None for auto
-        "oracle": ORACLE,
-        "borderline": BORDERLINE,
-        "cb-direct": DIRECT,
-        "cb-h": H_ROUTE,
-        "sum-form": SUM_FORM,
-    }.get(args.method)
+    name = METHODS[args.method]
     if name is None and args.show_terms:
         # only the minor expansion has subset terms to show: DIRECT replaces
         # ORACLE where DIRECT applies
@@ -164,10 +156,6 @@ def cmd_det(args) -> int:
         # SUM_FORM needs a sum form; BORDERLINE and both Cauchy-Binet routes a homogeneous p
         kind = "sum_form" if name == SUM_FORM else "homogeneous"
         raise ValueError(f"--method {args.method} needs a {kind} polynomial")
-    if name in (DIRECT, H_ROUTE) and (s := support_subsets(p, pts.n)) > CB_VERIFY_BUDGET:
-        raise SizeMismatchError(
-            f"Cauchy-Binet expansion over {s} support subsets > limit {CB_VERIFY_BUDGET}"
-        )
     report = det_structured(p, pts) if name is None else run_engine(name, p, pts)
     out = {"domain": inst.domain.name}
     out.update(report_to_json(report, include_terms=args.show_terms))
@@ -178,18 +166,19 @@ def cmd_det(args) -> int:
 def _engine_values(inst: Instance):
     """(label, value) of each engine of det.engines, oracle last.
 
-    A Cauchy-Binet route over CB_VERIFY_BUDGET support subsets is not run;
-    its value is the text of a SKIPPED line instead.
+    A Cauchy-Binet route that refuses its support subsets (past
+    det.CB_VERIFY_BUDGET) has the text of a SKIPPED line for its value; only
+    those two routes raise SubsetBudgetError, and any other error propagates.
     """
     p, pts = inst.poly, inst.pts
     rows = []
     for name in [e for e in engines(p, pts.n) if e != ORACLE] + [ORACLE]:
-        cb = name in (DIRECT, H_ROUTE)
-        label = f"CAUCHY_BINET_{name.upper()}" if cb else name
-        if cb and (s := support_subsets(p, pts.n)) > CB_VERIFY_BUDGET:
-            rows.append((label, f"SKIPPED ({s} subsets > {CB_VERIFY_BUDGET})"))
-        else:
-            rows.append((label, run_engine(name, p, pts).value))
+        label = f"CAUCHY_BINET_{name.upper()}" if name in (DIRECT, H_ROUTE) else name
+        try:
+            value = run_engine(name, p, pts).value
+        except SubsetBudgetError as e:
+            value = f"SKIPPED ({e.subsets} subsets > {e.limit})"
+        rows.append((label, value))
     return rows
 
 
@@ -305,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_instance_args(p_det)
     p_det.add_argument(
         "--method",
-        choices=["auto", "oracle", "borderline", "cb-direct", "cb-h", "sum-form"],
+        choices=list(METHODS),
         default="auto",
     )
     p_det.add_argument("--show-terms", action="store_true", help="include subset terms")

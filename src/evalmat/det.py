@@ -47,6 +47,24 @@ ORACLE = "ORACLE"
 DIRECT = "direct"
 H_ROUTE = "h_route"
 
+# Cauchy-Binet expansions run up to this many support subsets; past it
+# det_cauchy_binet refuses (det exits 3, verify skips the route) and auto
+# takes the oracle. At n = 10, C(15,10) = 3003 subsets take, in s at k = 14 /
+# k = 29 (three random supports, coefficients below 1000, points num/den with
+# num < 1000 and den < 10 over Q; Python 3.11, shared 2-vCPU host):
+#   F_p, p = 2^31-1: DIRECT 0.56-0.57 / 0.55-0.58, H route 0.24-0.40 / 0.36-0.54
+#   Q:               DIRECT 0.74-0.82 / 1.46-2.00, H route 0.52-0.65 / 3.19-5.68
+# and a whole verify over Q at k = 29, both routes and the oracle, 6.0-7.7 s
+CB_VERIFY_BUDGET = 5000
+
+
+class SubsetBudgetError(SizeMismatchError):
+    """det_cauchy_binet's refusal of more than CB_VERIFY_BUDGET support subsets."""
+
+    def __init__(self, subsets: int, limit: int):
+        super().__init__(f"Cauchy-Binet expansion over {subsets} support subsets > limit {limit}")
+        self.subsets, self.limit = subsets, limit
+
 
 @dataclass(frozen=True, eq=False)
 class DetReport:
@@ -127,15 +145,16 @@ def engines(p: HomogeneousPoly | UnivariatePoly, n: int) -> tuple[str, ...]:
     - n >= k+2: VANISH_RANK;
     - n = k+1: SUM_FORM for a sum form, else BORDERLINE, DIRECT and H_ROUTE;
     - n <= k: ORACLE for a sum form, else DIRECT and H_ROUTE, behind ORACLE
-      where elimination is the cheaper.
+      where elimination is the cheaper or the expansion is over the budget.
 
     The minor expansion costs about S*n^3 for S = support_subsets(p, n)
     when each minor is eliminated on its own, as DIRECT does; building A and
     eliminating it once costs about n^2(k+1) + n^3. Cauchy-Binet goes first
     when S*n <= k+1+n, which includes n = 1 and S = 0, where the empty sum
-    gives 0 without building a matrix. H_ROUTE's one kernel.minors pass for
-    both sides (det_cauchy_binet) is not priced, since auto never picks
-    H_ROUTE.
+    gives 0 without building a matrix, and S <= CB_VERIFY_BUDGET, past which
+    det_cauchy_binet refuses, so that auto never meets the refusal. H_ROUTE's
+    one kernel.minors pass for both sides (det_cauchy_binet) is not priced,
+    since auto never picks H_ROUTE.
     """
     k = p.degree
     if n >= k + 2:
@@ -144,7 +163,7 @@ def engines(p: HomogeneousPoly | UnivariatePoly, n: int) -> tuple[str, ...]:
         return (SUM_FORM,) if n == k + 1 else (ORACLE,)
     if n == k + 1:
         return (BORDERLINE, DIRECT, H_ROUTE)
-    cheap = support_subsets(p, n) * n <= k + 1 + n
+    cheap = (s := support_subsets(p, n)) * n <= k + 1 + n and s <= CB_VERIFY_BUDGET
     return (DIRECT, H_ROUTE) if cheap else (ORACLE, DIRECT, H_ROUTE)
 
 
@@ -175,6 +194,8 @@ def det_borderline(p: HomogeneousPoly, pts: PointVectors) -> DetReport:
     O(n^2) scalar operations; nonzero iff every coefficient is nonzero and
     both point vectors are collision-free.
     """
+    if not isinstance(p, HomogeneousPoly):
+        raise TypeError(f"borderline form needs a HomogeneousPoly, got {type(p).__name__}")
     n, k = pts.n, p.degree
     if n != k + 1:
         raise SizeMismatchError(f"borderline form needs n = k+1, got n={n}, k={k}")
@@ -233,14 +254,13 @@ def det_cauchy_binet(p: HomogeneousPoly, pts: PointVectors, minor_mode: str = DI
     minors' denominators D^(nk - sum I) G^(sum I) over the shared (DG)^(nk),
     since |I| = n.
 
-    Every support subset is listed up front, with no limit (a dense p at
-    n = 10, k = 60 has 9.0e10): a caller should count them with
-    support_subsets first. Only the CLI caps an expansion, at CB_VERIFY_BUDGET.
-    A cap here would also refuse instances that auto sends to DIRECT, which
-    it does wherever S*n <= k+1+n: past a budget of 5,000 at any degree above
-    about 5,000 n, and in the output sweep, whose patched budgets of 1-3 meet
-    S = 3 and 5, four auto dets would exit 3 rather than 0.
+    Every support subset is listed up front, so an expansion over more than
+    CB_VERIFY_BUDGET of them (a dense p at n = 10, k = 60 has 9.0e10) is
+    refused by SubsetBudgetError before anything is lifted or listed. The
+    budget is read at each call; det.engines puts no expansion first past it.
     """
+    if not isinstance(p, HomogeneousPoly):
+        raise TypeError(f"minor expansion needs a HomogeneousPoly, got {type(p).__name__}")
     n, k = pts.n, p.degree
     if n > k + 1:
         raise SizeMismatchError(f"minor expansion needs n <= k+1, got n={n}, k={k}")
@@ -248,6 +268,8 @@ def det_cauchy_binet(p: HomogeneousPoly, pts: PointVectors, minor_mode: str = DI
         raise SizeMismatchError("need at least one evaluation point")
     if minor_mode not in (DIRECT, H_ROUTE):
         raise ValueError(f"unknown minor mode {minor_mode!r}")
+    if (s := support_subsets(p, n)) > CB_VERIFY_BUDGET:
+        raise SubsetBudgetError(s, CB_VERIFY_BUDGET)
 
     dom = shared_domain(p, pts)
     mod = dom.modulus
@@ -391,6 +413,8 @@ def pascal_core_det(f: UnivariatePoly, n: int) -> Scalar:
 
 def _sum_form_degree(f: UnivariatePoly, n: int, what: str) -> int:
     """deg f, after checking the sum form's closed-form regime n = deg f + 1."""
+    if not isinstance(f, UnivariatePoly):
+        raise TypeError(f"{what} needs a UnivariatePoly, got {type(f).__name__}")
     k = f.degree
     if k < 0:
         raise SizeMismatchError("zero polynomial has no leading coefficient")

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from evalmat import cli
+from evalmat import cli, det
 from evalmat.bench import BenchMismatchError
 from evalmat.cli import instance_to_json, load_instance, main
 from evalmat.det import CAUCHY_BINET, det_structured
@@ -159,12 +159,13 @@ def test_verify_sum_form_with_linear_change():
 
 
 def _decimal_to_int(text):
-    """int(text) in pieces below the interpreter's int/str digit limit."""
+    """int(text) in pieces below every int/str digit limit CPython allows
+    (the lowest is 640)."""
     sign = -1 if text.startswith("-") else 1
     digits = text.lstrip("-")
     value = 0
-    for i in range(0, len(digits), 1000):
-        chunk = digits[i : i + 1000]
+    for i in range(0, len(digits), 600):
+        chunk = digits[i : i + 600]
         value = value * 10 ** len(chunk) + int(chunk)
     return sign * value
 
@@ -357,12 +358,12 @@ def test_main_in_process_options_do_not_carry_over(monkeypatch, capsys):
 
 def test_verify_budget_skips_cauchy_binet_routes(monkeypatch, capsys):
     # n = 2, k = 2, dense support: S = 3 subsets; at the budget both routes run
-    monkeypatch.setattr(cli, "CB_VERIFY_BUDGET", 3)
+    monkeypatch.setattr(det, "CB_VERIFY_BUDGET", 3)
     code, full = run_main(monkeypatch, capsys, ["verify"], N2_K2_INSTANCE)
     assert code == 0 and "SKIPPED" not in full
     assert "CAUCHY_BINET_DIRECT == CAUCHY_BINET_H_ROUTE: PASS" in full
 
-    monkeypatch.setattr(cli, "CB_VERIFY_BUDGET", 2)
+    monkeypatch.setattr(det, "CB_VERIFY_BUDGET", 2)
     code, out = run_main(monkeypatch, capsys, ["verify", "--expect", "7"], N2_K2_INSTANCE)
     assert code == 1
     assert out.splitlines()[:3] == [
@@ -384,9 +385,9 @@ def test_det_budget_refuses_cauchy_binet_expansion(monkeypatch, capsys):
     )
     unlimited = [run_main_full(monkeypatch, capsys, args, N2_K2_INSTANCE) for args in commands]
     assert all(code == 0 for code, _, _ in unlimited)
-    monkeypatch.setattr(cli, "CB_VERIFY_BUDGET", 3)
+    monkeypatch.setattr(det, "CB_VERIFY_BUDGET", 3)
     assert [run_main_full(monkeypatch, capsys, args, N2_K2_INSTANCE) for args in commands] == unlimited
-    monkeypatch.setattr(cli, "CB_VERIFY_BUDGET", 2)
+    monkeypatch.setattr(det, "CB_VERIFY_BUDGET", 2)
     for args in commands:
         code, out, err = run_main_full(monkeypatch, capsys, args, N2_K2_INSTANCE)
         assert (code, out) == (3, ""), args
@@ -459,8 +460,8 @@ def test_verify_large_cauchy_binet_skipped():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert f"CAUCHY_BINET_DIRECT   SKIPPED (352716 subsets > {cli.CB_VERIFY_BUDGET})" in lines
-    assert f"CAUCHY_BINET_H_ROUTE  SKIPPED (352716 subsets > {cli.CB_VERIFY_BUDGET})" in lines
+    assert f"CAUCHY_BINET_DIRECT   SKIPPED (352716 subsets > {det.CB_VERIFY_BUDGET})" in lines
+    assert f"CAUCHY_BINET_H_ROUTE  SKIPPED (352716 subsets > {det.CB_VERIFY_BUDGET})" in lines
 
 
 def test_verify_says_when_nothing_was_compared(monkeypatch, capsys):
@@ -525,7 +526,7 @@ def test_verify_transcript_skipped_rows_not_compared(monkeypatch, capsys):
             "b": ["2", "7"],
         }
     )
-    monkeypatch.setattr(cli, "CB_VERIFY_BUDGET", 5)
+    monkeypatch.setattr(det, "CB_VERIFY_BUDGET", 5)
     assert run_main_full(monkeypatch, capsys, ["verify", "--expect", "2"], inst) == (
         0,
         "CAUCHY_BINET_DIRECT   SKIPPED (6 subsets > 5)\n"
@@ -655,6 +656,22 @@ def test_wrongly_typed_field_exit_2(monkeypatch, capsys, path, value, message):
     for command in ("det", "verify", "matrix"):
         code, out, err = run_main_full(monkeypatch, capsys, [command], json.dumps(inst))
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1, 2]", "instance must be a JSON object"),
+        (
+            json.dumps(dict(INSTANCE, linear_change=["1", "0", "1"])),
+            "field 'linear_change': need exactly four scalars (alpha, beta, gamma, delta)",
+        ),
+    ],
+    ids=["instance-list", "change-three"],
+)
+def test_wrongly_shaped_instance_exit_2(monkeypatch, capsys, text, message):
+    code, out, err = run_main_full(monkeypatch, capsys, ["det"], text)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

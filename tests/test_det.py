@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evalmat import det as det_mod
 from evalmat import kernel
 from evalmat.det import (
     BORDERLINE,
@@ -756,6 +757,49 @@ def test_direct_minor_terms_are_descending_minors(field, n):
 def test_cauchy_binet_needs_a_point():
     with pytest.raises(SizeMismatchError, match="need at least one evaluation point"):
         det_cauchy_binet(HomogeneousPoly(2, [1, 2, 1]), PointVectors([], []))
+
+
+def test_budget_refuses_cauchy_binet_and_auto_takes_the_oracle(monkeypatch):
+    # n = 1, k = 2, dense support: S = 3 subsets, and S*n <= k+1+n, so only
+    # the budget keeps auto from the expansion
+    p, pts = HomogeneousPoly(2, [1, 2, 3]), PointVectors([5], [7])
+    expansion = det_structured(p, pts)
+    assert expansion.method == CAUCHY_BINET and expansion.value == 1 * 25 + 2 * 35 + 3 * 49
+    monkeypatch.setattr(det_mod, "CB_VERIFY_BUDGET", 2)
+    assert engines(p, 1) == (ORACLE, DIRECT, H_ROUTE)
+    rep = det_structured(p, pts)
+    assert rep.method == ORACLE and rep.value == oracle_det(p, pts).value == expansion.value
+
+    def no_lift(*args):
+        raise AssertionError("lifted")
+
+    # refused before the coefficients are lifted or a subset is listed
+    monkeypatch.setattr(det_mod, "shared_domain", no_lift)
+    for mode in (DIRECT, H_ROUTE):
+        with pytest.raises(SizeMismatchError) as info:
+            det_cauchy_binet(p, pts, mode)
+        assert str(info.value) == "Cauchy-Binet expansion over 3 support subsets > limit 2"
+        assert (info.value.subsets, info.value.limit) == (3, 2)
+
+
+def test_engines_refuse_the_other_polynomial_kind():
+    # f(x + y) = 1 + 2(x+y) + 3(x+y)^2 and x^2 + 2xy + 3y^2 share coefficients,
+    # so an engine that read the other kind's fields would give a wrong value
+    f, h = UnivariatePoly([1, 2, 3]), HomogeneousPoly(2, [1, 2, 3])
+    pts3, pts2 = PointVectors([1, 2, 4], [3, 5, 9]), PointVectors([1, 2], [3, 5])
+    assert oracle_det(f, pts3).value == det_sum_form(f, pts3).value == -15552
+    assert oracle_det(f, pts2).value == -1172
+    calls = [
+        lambda: det_borderline(f, pts3),
+        lambda: det_cauchy_binet(f, pts2, DIRECT),
+        lambda: det_cauchy_binet(f, pts2, H_ROUTE),
+        lambda: det_sum_form(h, pts3),
+        lambda: pascal_core_det(h, 3),
+        lambda: predict_equivariant_det(h, LinearChange(1, 0, 0, 1), pts3),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="needs a (Homogeneous|Univariate)Poly, got"):
+            call()
 
 
 @pytest.mark.parametrize("engine", ["sum_form", "pascal_core"])

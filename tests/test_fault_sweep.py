@@ -40,7 +40,7 @@ import io
 import json
 import sys
 
-from evalmat import cli, kernel
+from evalmat import cli, det, kernel
 from evalmat.cli import main
 
 TABLE = """
@@ -150,7 +150,7 @@ COLUMNS = {
 def _verify(monkeypatch, capsys, instance, budget):
     with monkeypatch.context() as m:
         if budget is not None:
-            m.setattr(cli, "CB_VERIFY_BUDGET", budget)
+            m.setattr(det, "CB_VERIFY_BUDGET", budget)
         m.setattr(sys, "stdin", io.StringIO(json.dumps(instance)))
         code = main(["verify"])
     return code, capsys.readouterr().out

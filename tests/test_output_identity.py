@@ -10,7 +10,7 @@ sum forms, some coefficients zero; n from 1 to k+2, points partly from a
 small pool so that some repeat; ``det`` with every ``--method``, with and
 without ``--show-terms``; ``matrix``; ``verify`` bare and with a right and
 a wrong ``--expect``, with ``linear_change`` and with
-``cli.CB_VERIFY_BUDGET`` patched low so that Cauchy-Binet routes are
+``det.CB_VERIFY_BUDGET`` patched low so that Cauchy-Binet routes are
 skipped; values past 640 and past 4,300 digits; ``ffprob`` in JSON and CSV
 on both sides of each of its size rules; and ``bench`` by its value hashes
 only, since its times vary.
@@ -27,9 +27,9 @@ import json
 import sys
 from collections import Counter
 
-from evalmat import cli
+from evalmat import cli, det
 
-DIGEST = "9f0558d91c4c7fa6152c0e3a0d47995e0def04cc9e7b168b7dd8a654a1e7d7d1"
+DIGEST = "1bf6cdc69213bb57b7f65a1dd12b7c87f827c3f1c927da994e4d423eccaaa23f"
 
 # what the sweep reaches, so that a generator change that loses a regime
 # shows here and not only as a changed digest
@@ -203,10 +203,10 @@ def test_cli_output_identity(monkeypatch, capsys):
         return code, out
 
     calls = []
-    budgets = [cli.CB_VERIFY_BUDGET] * 2 + [1, 2, 3, 6, 10]
+    budgets = [det.CB_VERIFY_BUDGET] * 2 + [1, 2, 3, 6, 10]
     for i, inst in enumerate(_instances()):
         text, domain = json.dumps(inst), inst["domain"]
-        monkeypatch.setattr(cli, "CB_VERIFY_BUDGET", budgets[i % len(budgets)])
+        monkeypatch.setattr(det, "CB_VERIFY_BUDGET", budgets[i % len(budgets)])
         for j, method in enumerate(METHODS):
             run(["det", "--method", method] + ["--show-terms"] * ((i + j) % 2), text)
         run(["det", "--show-terms"], text)
