@@ -153,7 +153,8 @@ class _Lanes:
         as 0 < m * p - 2^s <= p, u * m / 2^s exceeds u / p by at most
         u / 2^s < 2^-bit_length(p) < 1 / p, which keeps it below
         floor(u / p) + 1. And m <= 2^63 + 1, so u * m < 2^126 stays in its
-        lane."""
+        lane. kernel._reduce_slots splits its slots into even and odd lanes
+        to make that room; these lanes have it already, so one pass does."""
         return u - self.p * (u * self.factor >> self.shift & self.quotients)
 
 

@@ -21,19 +21,25 @@ one big-int multiply and add done by CPython in C. Every slot only ever
 grows by adding products of residues in [0, p), so it cannot borrow from
 its neighbour; w is chosen so that the largest sum a slot can reach fits
 below 2^w, so it cannot carry into its neighbour either, and slots are
-reduced mod p only when they are read. For a product over k terms that
-sum is k (p-1)^2; in elimination a row receives at most one multiple of a
+reduced mod p when they are read. For a product over k terms that sum is
+k (p-1)^2; in elimination a row receives at most one multiple of a
 reduced pivot row per step, (p-1)^2 per slot, so rows (p-1)^2 + p bounds
-every slot. ``product_det`` (and ``sum_form_det`` for its second product)
-eliminates the product's packed rows as they are, unreduced, in slots of
-(k + rows) (p-1)^2 + p: the oracle's A is never unpacked, and only the
-callers that need its entries as lists (``evaluation_matrix``, ``evalmat
-matrix``, the sum form's first product) unpack the product's rows, each
-once. Packing and unpacking cost a few interpreted operations per entry,
-which an n x n matrix pays back only from about PACK_MIN rows on.
-Below that the entry-by-entry code runs (every ffprob trial's entries, and
-elimination mod p past ``det``'s BAREISS_MAX_N rows); it stays the
-reference the packed code is tested against.
+every slot. ``product_det`` and ``sum_form_det`` eliminate A's packed
+rows as they are, unreduced, in slots of (k + rows) (p-1)^2 + p: the
+oracle's A is never unpacked, and only the callers that need its entries
+as lists (``evaluation_matrix``, ``evalmat matrix``) unpack its rows, each
+once. The sum form's A = X P Y^T is two products with nothing unpacked
+between them: the first gives Y P's columns packed, and ``_reduce_slots``
+reduces their slots mod p in place, a few big-int operations per column
+(a Barrett step on the even and then the odd slots, each alone in a
+2w-bit lane), which is exact for slots below 2^(w-1). The sum form's
+slots, for both products and the elimination, are therefore sized for
+twice (k + rows) (p-1)^2 + p. Packing and unpacking cost a few
+interpreted operations per entry, which an n x n matrix pays back only
+from about PACK_MIN rows on. Below that the entry-by-entry code runs
+(every ffprob trial's entries, and elimination mod p past ``det``'s
+BAREISS_MAX_N rows); it stays the reference the packed code is tested
+against.
 
 Multimodular determinant over Z. Bareiss' intermediate integers are the
 leading minors of the matrix, so its cost follows their size, not only
@@ -207,7 +213,8 @@ def pascal(coeffs: list[int], n: int, mod: int | None = None) -> list[list[int]]
 
 def sum_form(coeffs: list[int], xs: list[int], ys: list[int], mod: int | None = None):
     """[f(x_r + y_s)] for f(t) = sum_i coeffs[i] t^i, by Horner in x_r + y_s
-    entry by entry, or over F_p from the Pascal grid (see _sum_form_packed).
+    entry by entry, or over F_p from the Pascal grid, whose packed rows
+    (_pascal_packed) are unpacked once each.
     Over F_p, Horner runs over Z and reduces each entry once while
     deg f * bit_length(p) <= HORNER_MAX_BITS, and reduces every step past it."""
     if _pascal_pays(coeffs, xs, ys, mod):
@@ -232,10 +239,12 @@ def sum_form(coeffs: list[int], xs: list[int], ys: list[int], mod: int | None = 
 
 
 def sum_form_det(coeffs: list[int], xs: list[int], ys: list[int], mod: int | None = None) -> int:
-    """det [f(x_r + y_s)]: where sum_form takes the Pascal grid, its second
-    product goes to product_det; otherwise _image_det(sum_form(...))."""
+    """det [f(x_r + y_s)]: where sum_form takes the Pascal grid, ``_eliminate``
+    on _pascal_packed's rows as they are; otherwise _image_det(sum_form(...))."""
     if _pascal_pays(coeffs, xs, ys, mod):
-        return _sum_form_packed(coeffs, xs, ys, mod, product_det)
+        rows, size = _pascal_packed(coeffs, xs, ys, mod)
+        rank, d = _eliminate(rows, len(ys), size, mod)
+        return d if rank == len(xs) else 0
     return _image_det(sum_form(coeffs, xs, ys, mod), mod)
 
 
@@ -246,15 +255,50 @@ def _pascal_pays(coeffs, xs, ys, mod):
     return len(xs) >= PACK_MIN and len(ys) >= PACK_MIN and 0 < len(coeffs) <= len(xs) and mod is not None
 
 
-def _sum_form_packed(coeffs, xs, ys, mod, last=_product_rows):
-    """X * P * Y^T for X = [x_r^i], Y = [y_s^j] and the symmetric Pascal grid
-    P of f, as two packed products: Y P^T first, then ``last`` of X times
-    that (the rows, or product_det's determinant)."""
+def _sum_form_packed(coeffs, xs, ys, mod):
+    """[f(x_r + y_s)] over F_p as lists: each of _pascal_packed's rows
+    unpacked once."""
+    rows, size = _pascal_packed(coeffs, xs, ys, mod)
+    return [_unpack(row, len(ys), size, mod) for row in rows]
+
+
+def _pascal_packed(coeffs, xs, ys, mod):
+    """The packed rows of X * P * Y^T over F_p, for X = [x_r^i], Y = [y_s^j]
+    and the symmetric Pascal grid P of f, and their slot size in bytes.
+    Column i of Y P is row i of P Y^T, P's row i against Y's packed power
+    columns; its slots are reduced in place (_reduce_slots), and row r is
+    X's row r against those columns. One slot size serves both products and
+    the elimination: twice the bound of product_det's slots, so every slot
+    keeps the spare top bit that _reduce_slots needs."""
     m = len(coeffs) - 1
-    grid = pascal(coeffs, m + 1, mod)
-    ones = [1] * (m + 1)
-    yp = _product_rows(powers([1] * len(ys), ys, m, mod), ones, grid, mod)
-    return last(powers([1] * len(xs), xs, m, mod), ones, yp, mod)
+    size = _slot_bytes(2 * ((m + 1 + len(xs)) * (mod - 1) ** 2 + mod))
+    ycols = [_pack(col, size, mod) for col in zip(*powers([1] * len(ys), ys, m, mod))]
+    cols = _reduce_slots([sum(map(mul, row, ycols)) for row in pascal(coeffs, m + 1, mod)], len(ys), size, mod)
+    return [sum(map(mul, row, cols)) for row in powers([1] * len(xs), xs, m, mod)], size
+
+
+def _reduce_slots(packed, count, size, mod):
+    """Each int of packed with its count slots of size bytes reduced mod p
+    in place, for slots below 2^(w-1), w = 8 size. The even and the odd
+    slots each sit alone in a 2w-bit lane, where x - p * floor(x * M / 2^s),
+    with s = w - 1 + bit_length(p) and M = floor(2^s / p) + 1, is x mod p
+    (division by an invariant integer, Granlund and Montgomery, PLDI 1994):
+    x * M < 2^(w-1) (2^w + 1) stays in its lane, and its quotient, below
+    2^(w - bit_length(p)), is masked off from the next lane's product, which
+    comes in at bit 2w - s."""
+    w = 8 * size
+    s = w - 1 + mod.bit_length()
+    factor = (1 << s) // mod + 1
+    lanes = (count + 1) // 2
+    even = int.from_bytes((b"\xff" * size + bytes(size)) * lanes, "little")
+    quotients = int.from_bytes(((1 << 2 * w - s) - 1).to_bytes(2 * size, "little") * lanes, "little")
+    out = []
+    for x in packed:
+        lo, hi = x & even, x >> w & even
+        lo -= (lo * factor >> s & quotients) * mod
+        hi -= (hi * factor >> s & quotients) * mod
+        out.append(lo | hi << w)
+    return out
 
 
 def vandermonde(xs: list[int], mod: int | None = None) -> int:

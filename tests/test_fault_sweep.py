@@ -47,7 +47,7 @@ TABLE = """
 fault            | H3   | h3   | h3b   | S3   | s3    | H16           | h16b          | S16           | s16   | q21           | q5b
 powers           | FAIL | FAIL | PASS* | -    | -     | FAIL          | PASS*         | FAIL          | -     | FAIL          | PASS*
 product          | FAIL | FAIL | PASS* | -    | -     | -             | -             | -             | -     | FAIL          | PASS*
-product_det      | FAIL | FAIL | PASS* | -    | -     | FAIL          | PASS*         | FAIL          | -     | FAIL          | PASS*
+product_det      | FAIL | FAIL | PASS* | -    | -     | FAIL          | PASS*         | -             | -     | FAIL          | PASS*
 sum_form         | -    | -    | -     | FAIL | PASS* | -             | -             | -             | PASS* | -             | -
 sum_form_det     | -    | -    | -     | FAIL | PASS* | -             | -             | FAIL          | PASS* | -             | -
 vandermonde      | FAIL | FAIL | -     | FAIL | -     | FAIL          | -             | FAIL          | -     | FAIL          | -
@@ -57,6 +57,7 @@ minors           | -    | FAIL | -     | -    | -     | -             | -       
 _eliminate       | -    | -    | -     | -    | -     | FAIL          | PASS*         | FAIL          | PASS* | FAIL          | -
 det_multimodular | -    | -    | -     | -    | -     | -             | -             | -             | -     | FAIL          | -
 _slot_bytes      | -    | -    | -     | -    | -     | OverflowError | OverflowError | OverflowError | PASS* | OverflowError | -
+_reduce_slots    | -    | -    | -     | -    | -     | -             | -             | FAIL          | -     | -             | -
 """
 
 
@@ -91,6 +92,12 @@ def _eliminate(orig, live, cols, size, mod):
     return rank, 2 * d % mod
 
 
+def _reduce_slots(orig, packed, count, size, mod):
+    # slot 0 of every reduced int off by one mod p
+    low = (1 << 8 * size) - 1
+    return [x + 1 if x & low < mod - 1 else x - (mod - 1) for x in orig(packed, count, size, mod)]
+
+
 def _minors(orig, tables, n, mod=None):
     # every minor of every table doubled
     return [[_reduced(2 * x, mod) for x in minors] for minors in orig(tables, n, mod)]
@@ -110,6 +117,7 @@ FAULTS = dict(
         _wrapped("_eliminate", _eliminate),
         _wrapped("det_multimodular", lambda orig, a: orig(a) + 1),
         _wrapped("_slot_bytes", lambda orig, bound: orig(bound) - 1),
+        _wrapped("_reduce_slots", _reduce_slots),
     ]
 )
 

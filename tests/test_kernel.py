@@ -144,10 +144,14 @@ def test_packed_sum_form_matches_horner(p, entries, packed):
     # also at deg < n - 1 (rank deg + 1 < n) and at the Horner fallback,
     # deg >= n, from PACK_MIN rows on
     cases = [(1, 0), (3, 2), (16, 4), (16, 15), (25, 24), (40, 39), (12, 90)]
-    for n, deg in cases + [(15, 14), (20, 20), (17, 30)]:
+    for n, deg in cases + [(15, 14), (20, 20), (17, 30), (41, 40)]:
         coeffs = [rng.randrange(p) for _ in range(deg + 1)]
         xs = [rng.randrange(p) for _ in range(n)]
         ys = [rng.randrange(p) for _ in range(n)]
+        if n == 41:
+            # every coefficient and point at p - 1, the largest residues, so
+            # the slots of Y P's columns grow toward their bound
+            coeffs, xs, ys = [p - 1] * (deg + 1), [p - 1] * n, [p - 1] * n
         expected = entries(kernel.sum_form, coeffs, xs, ys, p)
         assert kernel._sum_form_packed(coeffs, xs, ys, p) == expected
         assert kernel.sum_form(coeffs, xs, ys, p) == expected
@@ -156,6 +160,25 @@ def test_packed_sum_form_matches_horner(p, entries, packed):
             det = entries(kernel.det, entries(kernel.sum_form, coeffs, a, ys, p), p)
             assert kernel.sum_form_det(coeffs, a, ys, p) == det, (n, deg)
             assert packed(kernel.sum_form_det, coeffs, a, ys, p) == det, (n, deg)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_reduce_slots_matches_mod_p(p):
+    """_reduce_slots against % p slot by slot, in the slot sizes of the sum
+    form's products and one byte wider, on slots at 0, p - 1, p, the
+    largest value it takes, 2^(w-1) - 1, and the largest below it that is
+    p - 1 mod p, where the quotient estimate has the least room, in every
+    position and parity."""
+    rng = random.Random(13 + p % 1000)
+    for size in (kernel._slot_bytes(2 * (p - 1) ** 2), kernel._slot_bytes(2 * 40 * (p - 1) ** 2 + p) + 1):
+        top = (1 << 8 * size - 1) - 1
+        edges = [0, p - 1, p, top, top - (top + 1) % p]
+        for count in (1, 2, 17):
+            slots = [[edges[(j + shift) % 5] for j in range(count)] for shift in range(5)]
+            slots += [[rng.randrange(top + 1) for _ in range(count)] for _ in range(4)]
+            packed = [sum(x << 8 * size * j for j, x in enumerate(row)) for row in slots]
+            expected = [kernel._pack(row, size, p) for row in slots]
+            assert kernel._reduce_slots(packed, count, size, p) == expected, (size, count)
 
 
 def test_vandermonde_grouped_differences_match_one_at_a_time():
