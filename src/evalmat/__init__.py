@@ -4,7 +4,8 @@ Builds the n x n matrix [p(a_r, b_s)] for homogeneous p (or [f(a_r + b_s)]
 for sum-form f) over arbitrary-precision rationals or a prime field, and
 computes its determinant by closed forms, minor expansions, and an
 elimination oracle that cross-checks everything (fraction-free, or over
-Q from kernel.MULTIMODULAR_MIN rows on modulo products of up to
+Q, where n^3 times the bits of the matrix's Hadamard bound reaches
+kernel.MULTIMODULAR_MIN_SIZE, modulo products of up to
 kernel.MULTIMODULAR_GROUP primes, joined by CRT).
 """
 

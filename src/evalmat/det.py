@@ -132,10 +132,12 @@ class LinearChange:
 def oracle_det(p: HomogeneousPoly | UnivariatePoly, pts: PointVectors) -> DetReport:
     """Brute-force determinant of A (the independent check): the
     determinant of its integer image, taken by evaluation_image's kernel
-    call, which picks the route. Over Z from kernel.MULTIMODULAR_MIN rows on
-    it is CRT, modulo products of up to kernel.MULTIMODULAR_GROUP primes;
-    over F_p from kernel.PACK_MIN rows on it eliminates A's packed rows
-    without ever unpacking them."""
+    call, which picks the route. Over Z it is CRT, modulo products of up to
+    kernel.MULTIMODULAR_GROUP primes, where n^3 * bit_length(2H) reaches
+    kernel.MULTIMODULAR_MIN_SIZE for H the image's Hadamard bound (20-bit
+    points from n = 20 on, 10-bit from n = 23), and Bareiss below; over F_p
+    from kernel.PACK_MIN rows on it eliminates A's packed rows without ever
+    unpacking them."""
     num, row_den, col_den, dom = evaluation_image(p, pts, det=True)
     return DetReport(dom.ratio(num, math.prod(row_den + col_den)), ORACLE)
 

@@ -59,12 +59,22 @@ not depend on the group size. Elimination over Z/q is exact while every
 pivot is a unit mod q; a pivot that shares a prime with q makes
 pow(pivot, -1, q) raise ValueError, and that group is then redone prime by
 prime. The cost follows H, so the route pays only where Bareiss' leading
-minors grow: on the evaluation matrix A from MULTIMODULAR_MIN rows on
-(n = 29, 20-bit points: about 330 against 940 ms), which is why only the
-determinants of that image over Z use it: ``product_det`` and
-``sum_form_det``, by way of ``_image_det``. ``det`` itself never does. W's
-ascending powers keep Bareiss' minors small while H stays large: at
-n = 29, W took 75 ms by Bareiss against 250 ms by CRT one prime at a time.
+minors grow, and on an evaluation image A they grow with its size: n rows
+and the bits of H. ``_image_det`` takes the route where
+n^3 * bit_length(2H) >= MULTIMODULAR_MIN_SIZE, for n > BAREISS_MAX_N rows,
+the crossover of a grid of 68 images (homogeneous with 10- to 160-bit
+integer points or num/den points, and sum forms, at n = 8..26; CHANGES.md),
+on which every shape runs on its faster route or within 1.2x of it. So
+20-bit points take it from n = 20 on (n = 29: about 330 against 940 ms),
+10-bit points from n = 23 and 160-bit points from n = 13. ``_image_det``
+computes H once, for the rule and the CRT loop; none at or below
+BAREISS_MAX_N rows, where CRT never won, and none where the rows' largest
+entries already bound the size below the threshold (about 7 against 100
+microseconds on a 12-row image of 20-bit points). Only the determinants
+of that image over Z use the route: ``product_det`` and ``sum_form_det``,
+by way of ``_image_det``. ``det`` itself never does. W's ascending powers keep
+Bareiss' minors small while H stays large: at n = 29, W took 75 ms by
+Bareiss against 250 ms by CRT one prime at a time.
 (The Jacobi-Trudi determinants of the Cauchy-Binet H route reach this
 kernel only as their l(lam) x l(lam) block or through ``minors``, and not
 at all at n = k+1, where lam is empty.)
@@ -95,10 +105,10 @@ from .scalar import is_prime
 # crossover table in CHANGES.md
 PACK_MIN = 16
 
-# product_det and sum_form_det eliminate integer images over Z by
-# det_multimodular from this many rows on, and by det below; see the
-# crossover table in CHANGES.md
-MULTIMODULAR_MIN = 21
+# product_det and sum_form_det eliminate an integer image of n rows over Z
+# by det_multimodular where n^3 * bit_length(2H) reaches this size, for H
+# its Hadamard bound, and by det below; see the grid in CHANGES.md
+MULTIMODULAR_MIN_SIZE = 54_500_000
 
 # det_multimodular eliminates modulo the product of this many consecutive
 # primes at a time; see the group-size table in CHANGES.md
@@ -178,9 +188,21 @@ def product_det(v: list[list[int]], c: list[int], w: list[list[int]], mod: int |
 
 def _image_det(rows: list[list[int]], mod: int | None) -> int:
     """The determinant of an evaluation image: over Z by det_multimodular
-    from MULTIMODULAR_MIN rows on, where Bareiss' leading minors grow;
-    otherwise by det, which consumes rows."""
-    return det_multimodular(rows) if mod is None and len(rows) >= MULTIMODULAR_MIN else det(rows, mod)
+    where Bareiss' leading minors grow, n^3 * bit_length(2H) >=
+    MULTIMODULAR_MIN_SIZE for n > BAREISS_MAX_N rows and H their Hadamard
+    bound, which is computed once; otherwise by det, which consumes rows.
+    H is not computed where a bound from each row's largest entry already
+    keeps the size below the threshold: each row's norm is below
+    sqrt(n) 2^b for b the bit length of that entry, so bit_length(2H) <=
+    1 + n bit_length(n) + the sum of those b."""
+    n = len(rows)
+    if mod is None and n > BAREISS_MAX_N:
+        bits = 1 + n * n.bit_length() + sum(max(map(abs, row)).bit_length() for row in rows)
+        if n**3 * bits >= MULTIMODULAR_MIN_SIZE:
+            limit = _crt_limit(rows)
+            if n**3 * limit.bit_length() >= MULTIMODULAR_MIN_SIZE:
+                return det_multimodular(rows, limit)
+    return det(rows, mod)
 
 
 def _product_rows(v, c, w, mod):
@@ -508,17 +530,26 @@ def _prime(i: int) -> int:
     return PRIMES[i]
 
 
-def det_multimodular(a: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by CRT over det mod q_j; a is
-    left as it is. Each q_j is the product of up to MULTIMODULAR_GROUP
-    consecutive primes p_i, and primes are taken until their product M
-    exceeds twice the Hadamard bound H >= |det|, so the symmetric residue
-    mod M is det itself."""
+def _crt_limit(a: list[list[int]]) -> int:
+    """floor(2H) for H the smaller of a's row and column Hadamard bounds
+    (the products of the row or column Euclidean norms), H >= |det a|: an
+    integer M exceeds 2H exactly when it exceeds this limit."""
     bound_sq = min(
         math.prod(sum(map(mul, row, row)) for row in a),
         math.prod(sum(map(mul, col, col)) for col in zip(*a)),
     )
-    limit = math.isqrt(4 * bound_sq)  # M > limit  <=>  M > 2 H for integer M
+    return math.isqrt(4 * bound_sq)
+
+
+def det_multimodular(a: list[list[int]], limit: int | None = None) -> int:
+    """Determinant of a square integer matrix by CRT over det mod q_j; a is
+    left as it is. Each q_j is the product of up to MULTIMODULAR_GROUP
+    consecutive primes p_i, and primes are taken until their product M
+    exceeds twice the Hadamard bound H >= |det|, so the symmetric residue
+    mod M is det itself. limit is _crt_limit(a), computed here unless the
+    caller has it."""
+    if limit is None:
+        limit = _crt_limit(a)
     x, m, i = 0, 1, 0
     while m <= limit:
         # the next prime joins the group only where one prime at a time

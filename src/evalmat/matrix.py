@@ -152,8 +152,10 @@ def evaluation_image(p: HomogeneousPoly | UnivariatePoly, pts: PointVectors, det
     coefficients c_i / E; the sum form runs Horner in a_r + b_s over one
     common point denominator D, with c_i D^(deg-i) folded in once. The
     determinant comes from kernel.product_det and kernel.sum_form_det, which
-    pick its route: over Z by CRT from kernel.MULTIMODULAR_MIN rows on, and
-    over F_p on a large product's packed rows, never unpacked.
+    pick its route: over Z by CRT where n^3 * bit_length(2H) reaches
+    kernel.MULTIMODULAR_MIN_SIZE for H the rows' Hadamard bound, and by
+    Bareiss below; over F_p on a large product's packed rows, never
+    unpacked.
     """
     dom = shared_domain(p, pts)
     mod = dom.modulus

@@ -35,6 +35,7 @@ from evalmat.matrix import (
     DenseMatrix,
     PointVectors,
     bareiss_det,
+    evaluation_image,
     evaluation_matrix,
     minor_det,
     rank,
@@ -702,13 +703,16 @@ def test_oracle_builds_no_dense_matrix(monkeypatch):
         assert oracle_det(p, pts).value == expected
 
 
-@pytest.mark.parametrize("n", range(kernel.MULTIMODULAR_MIN - 2, kernel.MULTIMODULAR_MIN + 7))
+@pytest.mark.parametrize("n", range(19, 28))
 def test_oracle_over_q_matches_bareiss_around_multimodular_min(monkeypatch, n):
-    # from kernel.MULTIMODULAR_MIN rows on the oracle runs the CRT route;
-    # n cycles through both kinds and through integer and num/den points
+    # the oracle runs the CRT route where n^3 * bit_length(2H) reaches
+    # kernel.MULTIMODULAR_MIN_SIZE, for H the image's Hadamard bound; these
+    # instances are below it up to n = 23 and above it from n = 24, each by
+    # at least 20%, so both routes run. n cycles through both kinds and
+    # through integer and num/den points
     calls = []
     crt = kernel.det_multimodular
-    monkeypatch.setattr(kernel, "det_multimodular", lambda a: calls.append(a) or crt(a))
+    monkeypatch.setattr(kernel, "det_multimodular", lambda a, limit: calls.append(a) or crt(a, limit))
     rng = random.Random(2000 + n)
     den = 1 if n // 2 % 2 else 6
 
@@ -724,7 +728,9 @@ def test_oracle_over_q_matches_bareiss_around_multimodular_min(monkeypatch, n):
     p = HomogeneousPoly(k, vec(k + 1)) if n % 2 else UnivariatePoly(vec(k + 1))
     value = oracle_det(p, pts).value
     assert value == bareiss_det(evaluation_matrix(p, pts)) and value != 0
-    assert len(calls) == (n >= kernel.MULTIMODULAR_MIN)
+    size = n**3 * kernel._crt_limit(evaluation_image(p, pts)[0]).bit_length()
+    assert not 0.8 * kernel.MULTIMODULAR_MIN_SIZE < size < 1.2 * kernel.MULTIMODULAR_MIN_SIZE
+    assert len(calls) == (size >= kernel.MULTIMODULAR_MIN_SIZE) == (n >= 24)
 
 
 @pytest.mark.parametrize("field", [None, PrimeField(2), PrimeField(3), PrimeField(2**31 - 1)])

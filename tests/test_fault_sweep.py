@@ -2,8 +2,9 @@
 
 Each row replaces one kernel function by a consistently wrong twin
 (monkeypatched on ``evalmat.kernel``, so the kernel's own calls take it
-too), and each column runs ``main(["verify"])`` in this process on one
-instance. A cell reads
+too), or one domain's ``lift`` (on its class in ``evalmat.scalar``), and
+each column runs ``main(["verify"])`` in this process on one instance. A
+cell reads
 
 - ``FAIL``: exit 1, the fault was caught;
 - ``PASS*``: exit 0 with changed output, a wrong value that verify passed;
@@ -15,6 +16,8 @@ FAIL that turns PASS* is a lost check, and a PASS* that turns FAIL without
 an update leaves the table untrue. The PASS* cells are the regimes where
 verify compares nothing independent: a homogeneous n <= k past the
 Cauchy-Binet budget (h3b, h16b, q5b), and sum forms at n <= deg f (s3, s16).
+A lift fault is PASS* at S3 too: the sum-form closed form and the oracle
+both read a_0 through the one lift, so they agree on the same wrong value.
 
 Columns ending in 3 are over F_101, a = (1, 2, 4), b = (3, 5, 9):
   H3   homogeneous (1, 2, 3), k = 2;
@@ -30,8 +33,9 @@ b_i = 5i^2 + 11i + 2 for i < 16 and coefficients 1, 2, ...:
   S16  the sum form of degree 15;
   s16  the sum form of degree 20.
 Columns over Q take the same integer points and coefficients:
-  q21  homogeneous, n = k + 1 = MULTIMODULAR_MIN, the CRT route, whose
-       value has over 640 digits (CPython's lowest int/str digit limit);
+  q24  homogeneous, n = k + 1 = 24, the CRT route: n^3 * bit_length(2H)
+       = 8.3e7 is 1.5 times kernel.MULTIMODULAR_MIN_SIZE. Its value has
+       over 640 digits (CPython's lowest int/str digit limit);
   q5b  homogeneous, n = 5, k = 6, S = C(7, 5) = 21 past a budget patched
        to 20: only the oracle runs.
 """
@@ -40,24 +44,26 @@ import io
 import json
 import sys
 
-from evalmat import cli, det, kernel
+from evalmat import cli, det, kernel, scalar
 from evalmat.cli import main
 
 TABLE = """
-fault            | H3   | h3   | h3b   | S3   | s3    | H16           | h16b          | S16           | s16   | q21           | q5b
-powers           | FAIL | FAIL | PASS* | -    | -     | FAIL          | PASS*         | FAIL          | -     | FAIL          | PASS*
-product          | FAIL | FAIL | PASS* | -    | -     | -             | -             | -             | -     | FAIL          | PASS*
-product_det      | FAIL | FAIL | PASS* | -    | -     | FAIL          | PASS*         | -             | -     | FAIL          | PASS*
-sum_form         | -    | -    | -     | FAIL | PASS* | -             | -             | -             | PASS* | -             | -
-sum_form_det     | -    | -    | -     | FAIL | PASS* | -             | -             | FAIL          | PASS* | -             | -
-vandermonde      | FAIL | FAIL | -     | FAIL | -     | FAIL          | -             | FAIL          | -     | FAIL          | -
-h_table          | -    | FAIL | -     | -    | -     | -             | -             | -             | -     | -             | -
-det              | FAIL | FAIL | PASS* | FAIL | PASS* | FAIL          | -             | -             | PASS* | FAIL          | PASS*
-minors           | -    | FAIL | -     | -    | -     | -             | -             | -             | -     | -             | -
-_eliminate       | -    | -    | -     | -    | -     | FAIL          | PASS*         | FAIL          | PASS* | FAIL          | -
-det_multimodular | -    | -    | -     | -    | -     | -             | -             | -             | -     | FAIL          | -
-_slot_bytes      | -    | -    | -     | -    | -     | OverflowError | OverflowError | OverflowError | PASS* | OverflowError | -
-_reduce_slots    | -    | -    | -     | -    | -     | -             | -             | FAIL          | -     | -             | -
+fault               | H3   | h3   | h3b   | S3    | s3    | H16           | h16b          | S16           | s16   | q24           | q5b
+powers              | FAIL | FAIL | PASS* | -     | -     | FAIL          | PASS*         | FAIL          | -     | FAIL          | PASS*
+product             | FAIL | FAIL | PASS* | -     | -     | -             | -             | -             | -     | FAIL          | PASS*
+product_det         | FAIL | FAIL | PASS* | -     | -     | FAIL          | PASS*         | -             | -     | FAIL          | PASS*
+sum_form            | -    | -    | -     | FAIL  | PASS* | -             | -             | -             | PASS* | -             | -
+sum_form_det        | -    | -    | -     | FAIL  | PASS* | -             | -             | FAIL          | PASS* | -             | -
+vandermonde         | FAIL | FAIL | -     | FAIL  | -     | FAIL          | -             | FAIL          | -     | FAIL          | -
+h_table             | -    | FAIL | -     | -     | -     | -             | -             | -             | -     | -             | -
+det                 | FAIL | FAIL | PASS* | FAIL  | PASS* | FAIL          | -             | -             | PASS* | FAIL          | PASS*
+minors              | -    | FAIL | -     | -     | -     | -             | -             | -             | -     | -             | -
+_eliminate          | -    | -    | -     | -     | -     | FAIL          | PASS*         | FAIL          | PASS* | FAIL          | -
+det_multimodular    | -    | -    | -     | -     | -     | -             | -             | -             | -     | FAIL          | -
+_slot_bytes         | -    | -    | -     | -     | -     | OverflowError | OverflowError | OverflowError | PASS* | OverflowError | -
+_reduce_slots       | -    | -    | -     | -     | -     | -             | -             | FAIL          | -     | -             | -
+PrimeField.lift     | FAIL | FAIL | PASS* | PASS* | PASS* | FAIL          | PASS*         | FAIL          | PASS* | -             | -
+RationalDomain.lift | -    | -    | -     | -     | -     | -             | -             | -             | -     | FAIL          | PASS*
 """
 
 
@@ -69,9 +75,16 @@ def _row0_plus_1(rows, mod):
     return [[_reduced(x + 1, mod) for x in rows[0]]] + rows[1:]
 
 
+def _target(name):
+    """The owner and attribute a fault replaces: kernel.<name>, or the
+    method of a scalar class for "<class>.<method>"."""
+    owner, _, attr = name.rpartition(".")
+    return (getattr(scalar, owner) if owner else kernel), attr
+
+
 def _wrapped(name, twin):
-    """kernel.<name> replaced by twin(original, *args)."""
-    original = getattr(kernel, name)
+    """The attribute name replaced by twin(original, *args)."""
+    original = getattr(*_target(name))
     return name, lambda *args: twin(original, *args)
 
 
@@ -98,6 +111,12 @@ def _reduce_slots(orig, packed, count, size, mod):
     return [x + 1 if x & low < mod - 1 else x - (mod - 1) for x in orig(packed, count, size, mod)]
 
 
+def _lift(orig, dom, xs):
+    # the first integer doubled
+    nums, den = orig(dom, xs)
+    return [_reduced(2 * x, dom.modulus) for x in nums[:1]] + nums[1:], den
+
+
 def _minors(orig, tables, n, mod=None):
     # every minor of every table doubled
     return [[_reduced(2 * x, mod) for x in minors] for minors in orig(tables, n, mod)]
@@ -115,9 +134,11 @@ FAULTS = dict(
         _wrapped("det", lambda orig, a, mod=None: _reduced(2 * orig(a, mod), mod)),
         _wrapped("minors", _minors),
         _wrapped("_eliminate", _eliminate),
-        _wrapped("det_multimodular", lambda orig, a: orig(a) + 1),
+        _wrapped("det_multimodular", lambda orig, a, limit=None: orig(a, limit) + 1),
         _wrapped("_slot_bytes", lambda orig, bound: orig(bound) - 1),
         _wrapped("_reduce_slots", _reduce_slots),
+        _wrapped("PrimeField.lift", _lift),
+        _wrapped("RationalDomain.lift", _lift),
     ]
 )
 
@@ -134,7 +155,7 @@ def _sum_form(domain, deg, a, b):
 
 F101, A3, B3 = "fp:101", (1, 2, 4), (3, 5, 9)
 F31 = f"fp:{2**31 - 1}"
-NQ = kernel.MULTIMODULAR_MIN
+NQ = 24
 A = [3 * i * i + 7 for i in range(NQ)]
 B = [5 * i * i + 11 * i + 2 for i in range(NQ)]
 A16, B16 = A[:16], B[:16]
@@ -150,7 +171,7 @@ COLUMNS = {
     "h16b": (_homogeneous(F31, 20, A16, B16), None),
     "S16": (_sum_form(F31, 15, A16, B16), None),
     "s16": (_sum_form(F31, 20, A16, B16), None),
-    "q21": (_homogeneous("rational", NQ - 1, A, B), None),
+    "q24": (_homogeneous("rational", NQ - 1, A, B), None),
     "q5b": (_homogeneous("rational", 6, A[:5], B[:5]), 20),
 }
 
@@ -167,7 +188,7 @@ def _verify(monkeypatch, capsys, instance, budget):
 def _cell(monkeypatch, capsys, fault, column, clean):
     instance, budget = COLUMNS[column]
     with monkeypatch.context() as m:
-        m.setattr(kernel, fault, FAULTS[fault])
+        m.setattr(*_target(fault), FAULTS[fault])
         try:
             code, out = _verify(monkeypatch, capsys, instance, budget)
         except OverflowError as e:

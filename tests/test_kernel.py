@@ -17,6 +17,7 @@ import math
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from operator import mul
 
 import pytest
@@ -25,8 +26,8 @@ from hypothesis import strategies as st
 
 from evalmat import kernel
 from evalmat.cli import main
-from evalmat.det import det_borderline, det_sum_form
-from evalmat.matrix import PointVectors, bareiss_det, evaluation_matrix
+from evalmat.det import det_borderline, det_sum_form, oracle_det
+from evalmat.matrix import PointVectors, bareiss_det, evaluation_image, evaluation_matrix
 from evalmat.poly import HomogeneousPoly, UnivariatePoly
 from evalmat.scalar import PrimeField, is_prime
 
@@ -268,15 +269,14 @@ def test_import_generates_no_primes():
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_multimodular_matches_bareiss(data):
-    # sizes on both sides of MULTIMODULAR_MIN; entries above 2^600 only where
-    # Bareiss stays cheap
-    low = kernel.MULTIMODULAR_MIN
-    n = data.draw(st.sampled_from([0, 1, 2, 3, 5, 8, low - 1, low]))
-    bits = data.draw(st.sampled_from([1, 8, 64] if n >= low - 1 else [1, 8, 64, 640]))
+    # sizes up to q-verify's 20 and 21 rows; entries above 2^600 only where
+    # Bareiss stays cheap. The bound a caller hands in gives the same value
+    n = data.draw(st.sampled_from([0, 1, 2, 3, 5, 8, 20, 21]))
+    bits = data.draw(st.sampled_from([1, 8, 64] if n >= 20 else [1, 8, 64, 640]))
     rng = data.draw(st.randoms(use_true_random=False))
     a = [[rng.randrange(-(2**bits), 2**bits + 1) for _ in range(n)] for _ in range(n)]
     expected = kernel.det([row[:] for row in a])
-    assert kernel.det_multimodular(a) == expected
+    assert kernel.det_multimodular(a) == kernel.det_multimodular(a, kernel._crt_limit(a)) == expected
     if n < 2:
         return
     i, j = rng.sample(range(n), 2)
@@ -315,13 +315,19 @@ def spy_det(patcher):
     return calls
 
 
-def one_prime_moduli(a):
-    """The primes that CRT one prime at a time takes for a: until their
-    product exceeds twice the smaller Hadamard bound."""
-    bound_sq = min(
+def hadamard_sq(a):
+    """H^2 for H the smaller of a's row and column Hadamard bounds,
+    computed here without the kernel."""
+    return min(
         math.prod(sum(x * x for x in row) for row in a),
         math.prod(sum(x * x for x in col) for col in zip(*a)),
     )
+
+
+def one_prime_moduli(a):
+    """The primes that CRT one prime at a time takes for a: until their
+    product exceeds twice the smaller Hadamard bound."""
+    bound_sq = hadamard_sq(a)
     primes, m = [], 1
     while m * m <= 4 * bound_sq:
         primes.append(kernel._prime(len(primes)))
@@ -330,10 +336,10 @@ def one_prime_moduli(a):
 
 
 def test_multimodular_groups_take_the_one_prime_rules_primes(monkeypatch):
-    # 64-bit entries at MULTIMODULAR_MIN rows need several full groups and
-    # one partial one; the groups must cover exactly the one-prime rule's
-    # primes, in order, so M is the same
-    n, g = kernel.MULTIMODULAR_MIN, kernel.MULTIMODULAR_GROUP
+    # 64-bit entries at 21 rows need several full groups and one partial
+    # one; the groups must cover exactly the one-prime rule's primes, in
+    # order, so M is the same
+    n, g = 21, kernel.MULTIMODULAR_GROUP
     rng = random.Random(13)
     partial = 0
     for _ in range(4):
@@ -353,7 +359,7 @@ def test_multimodular_redoes_a_group_prime_by_prime(monkeypatch):
     # the first pivot is a nonzero multiple of the first prime, so it is no
     # unit modulo the first group's product: that group is redone one prime
     # at a time, the next group is whole again, and the value is Bareiss'
-    n, g = kernel.MULTIMODULAR_MIN, kernel.MULTIMODULAR_GROUP
+    n, g = 21, kernel.MULTIMODULAR_GROUP
     rng = random.Random(29)
     a = [[rng.randrange(-(2**64), 2**64 + 1) for _ in range(n)] for _ in range(n)]
     a[0][0] = 3 * kernel._prime(0)
@@ -397,16 +403,16 @@ def test_multimodular_small_primes_match_bareiss(data):
 
 
 def test_verify_over_q_on_small_primes_passes(monkeypatch, capsys):
-    # the CLI's oracle over Q at MULTIMODULAR_MIN rows on small primes: the
-    # non-unit pivots fall back inside the kernel, and no ValueError reaches
-    # main() as an input error (exit 2)
-    n = kernel.MULTIMODULAR_MIN
+    # the CLI's oracle over Q on the CRT route (20-bit points at 21 rows) on
+    # small primes: the non-unit pivots fall back inside the kernel, and no
+    # ValueError reaches main() as an input error (exit 2)
+    n = 21
     rng = random.Random(31)
     inst = {
         "domain": "rational",
         "poly": {"kind": "homogeneous", "degree": n - 1, "coeffs": [str(rng.randrange(1, 10)) for _ in range(n)]},
-        "a": [str(x) for x in rng.sample(range(-40, 40), n)],
-        "b": [str(x) for x in rng.sample(range(-40, 40), n)],
+        "a": [str(x) for x in rng.sample(range(-(2**20), 2**20), n)],
+        "b": [str(x) for x in rng.sample(range(-(2**20), 2**20), n)],
     }
     monkeypatch.setattr(kernel, "_prime", SMALL_PRIMES.__getitem__)
     calls = spy_det(monkeypatch)
@@ -417,34 +423,93 @@ def test_verify_over_q_on_small_primes_passes(monkeypatch, capsys):
     assert "ORACLE" in out and any(outcome == "raised" for _, outcome in calls)
 
 
-@pytest.mark.parametrize("patch", [None, 6])
-def test_image_det_takes_crt_from_multimodular_min_over_z(monkeypatch, patch):
-    """product_det and sum_form_det over Z take det_multimodular from
-    MULTIMODULAR_MIN rows on (21 unpatched, 6 patched) and det below; over a
-    prime they never do, and neither does kernel.det at any size."""
+def hadamard_bits(a):
+    """bit_length(2H), the size measure of kernel._image_det's rule."""
+    return math.isqrt(4 * hadamard_sq(a)).bit_length()
+
+
+def spy_routes(patcher):
+    """Record the row count of every det_multimodular call, whether it was
+    handed a bound, and the row count of every _crt_limit call."""
+    crt, limits, crt_limit = [], [], kernel._crt_limit
+    patcher.setattr(kernel, "_crt_limit", lambda a: limits.append(len(a)) or crt_limit(a))
+    det_multimodular = kernel.det_multimodular
+
+    def spy(a, limit=None):
+        crt.append((len(a), limit is not None))
+        return det_multimodular(a, limit)
+
+    patcher.setattr(kernel, "det_multimodular", spy)
+    return crt, limits
+
+
+@pytest.mark.parametrize("patch", [None, 1])
+def test_image_det_takes_crt_by_image_size_over_z(monkeypatch, patch):
+    """product_det and sum_form_det over Z take det_multimodular where
+    n^3 * bit_length(2H) >= MULTIMODULAR_MIN_SIZE for n > BAREISS_MAX_N
+    rows, and det otherwise, at the threshold given and with it patched to
+    each image's own size (taken) and one above (not taken). Where they
+    take it they compute H once and hand it on; they compute none at or
+    below BAREISS_MAX_N rows. Over a prime they never take the CRT route,
+    and neither does kernel.det at any size. Unpatched, 10-bit points at
+    n = 21 stay on Bareiss and 20-bit points at n = 20 take CRT; patched to
+    1, every image past BAREISS_MAX_N rows takes CRT."""
     if patch is not None:
-        monkeypatch.setattr(kernel, "MULTIMODULAR_MIN", patch)
-    calls, crt = [], kernel.det_multimodular
-    monkeypatch.setattr(kernel, "det_multimodular", lambda a: calls.append(len(a)) or crt(a))
+        monkeypatch.setattr(kernel, "MULTIMODULAR_MIN_SIZE", patch)
+    crt, limits = spy_routes(monkeypatch)
     rng = random.Random(21)
-    low = kernel.MULTIMODULAR_MIN
-    for n in (low - 1, low):
+    routes = set()
+    for n, bits in ((kernel.BAREISS_MAX_N, 20), (kernel.BAREISS_MAX_N + 1, 4), (21, 10), (20, 20)):
         # n = k+1 = deg f + 1 on distinct points: both determinants are nonzero
-        xs, ys = rng.sample(range(80), n), rng.sample(range(80), n)
+        xs, ys = rng.sample(range(1, 2**bits), n), rng.sample(range(1, 2**bits), n)
         c = [rng.randrange(1, 10) for _ in range(n)]
         v, w = kernel.powers(xs, [1] * n, n - 1), kernel.powers([1] * n, ys, n - 1)
         for fused, build, args in (
             (kernel.product_det, kernel.product, (v, c, w)),
             (kernel.sum_form_det, kernel.sum_form, (c, xs, ys)),
         ):
-            calls.clear()
-            expected = kernel.det(build(*args))
-            assert calls == [] and expected != 0
-            assert fused(*args) == expected, (fused.__name__, n)
-            assert calls == ([n] if n >= low else []), (fused.__name__, n)
+            rows = build(*args)
+            size = n**3 * hadamard_bits(rows)
+            expected = kernel.det([row[:] for row in rows])
+            assert expected != 0
+            routes.add(n > kernel.BAREISS_MAX_N and size >= kernel.MULTIMODULAR_MIN_SIZE)
+            for threshold in (kernel.MULTIMODULAR_MIN_SIZE, size, size + 1):
+                takes_crt = n > kernel.BAREISS_MAX_N and size >= threshold
+                crt.clear()
+                limits.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(kernel, "MULTIMODULAR_MIN_SIZE", threshold)
+                    assert fused(*args) == expected, (fused.__name__, n, threshold)
+                assert crt == ([(n, True)] if takes_crt else []), (fused.__name__, n, threshold)
+                assert limits == [n] if takes_crt else len(limits) <= (n > kernel.BAREISS_MAX_N)
             for p in (101, 2**31 - 1):
                 assert fused(*args, p) == kernel.det(build(*args, p), p), (fused.__name__, n, p)
-            assert calls == ([n] if n >= low else []), (fused.__name__, n)
+            assert len(crt) == takes_crt and len(limits) <= (n > kernel.BAREISS_MAX_N), (fused.__name__, n)
+    assert routes == {False, True}
+
+
+def test_q_verify_shapes_take_their_faster_route(monkeypatch):
+    """The oracle over Q on homogeneous n = k+1 instances with 20-bit
+    coefficients: 20-bit points at n = 20 (q-verify's slowest ops but one)
+    take CRT with at least 15% to spare over MULTIMODULAR_MIN_SIZE, and
+    10-bit points at n = 21 stay on Bareiss, the faster route for each in
+    the grid of CHANGES.md."""
+    crt, _ = spy_routes(monkeypatch)
+    for seed in range(5):
+        rng = random.Random(seed)
+        for n, bits, on_crt in ((20, 20, True), (21, 10, False)):
+            coeffs = [Fraction(rng.randrange(1, 2**20)) for _ in range(n)]
+            a, b = (rng.sample(range(1, 2**bits), n) for _ in range(2))
+            p = HomogeneousPoly(n - 1, coeffs)
+            pts = PointVectors([Fraction(x) for x in a], [Fraction(x) for x in b])
+            size = n**3 * hadamard_bits(evaluation_image(p, pts)[0])
+            crt.clear()
+            oracle_det(p, pts)
+            assert crt == ([(n, True)] if on_crt else []), (seed, n, bits, size)
+            if on_crt:
+                assert size >= 1.15 * kernel.MULTIMODULAR_MIN_SIZE, (seed, size)
+            else:
+                assert size < kernel.MULTIMODULAR_MIN_SIZE, (seed, size)
 
 
 @settings(max_examples=300, deadline=None)
