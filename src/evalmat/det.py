@@ -237,8 +237,9 @@ def det_cauchy_binet(p: HomogeneousPoly, pts: PointVectors, minor_mode: str = DI
 
     Each route builds its tables once per call and takes every minor from
     whole rows of them (a minor's transpose has its determinant). DIRECT
-    hands kernel.det the rows k - i, i in reversed(I), of V's transpose and
-    the rows i in I of W's, each copied since kernel.det consumes its rows.
+    hands kernel.det_rows the rows k - i, i in reversed(I), of V's transpose
+    and the rows i in I of W's, uncopied: det_rows copies them only where
+    kernel.det would consume them, below kernel.PACK_MIN rows or over Z.
     H_ROUTE reads one H table per side behind n - 1 zeros. On a support of
     m coefficients with 2n <= m + 1 it takes both sides' C(m, n) minors
     from one kernel.minors call, which builds its plan once for the two
@@ -284,15 +285,15 @@ def det_cauchy_binet(p: HomogeneousPoly, pts: PointVectors, minor_mode: str = DI
         # V's minor on columns I has the exponents k - i, i in I, descending;
         # it is eliminated on the same exponents ascending (W's order), since
         # Bareiss' leading minors then stay ordinary Vandermondes of low
-        # degree, and the column reversal costs the sign. V^T and W^T hold
-        # tuples, so kernel.det, which consumes its rows, only gets copies
+        # degree, and the column reversal costs the sign. kernel.det_rows
+        # takes V^T's and W^T's tuples as they are
         v, v_den = power_image(pts.a, k, dom)
         w, w_den = power_image(pts.b, k, dom)
         vt, wt = list(zip(*v)), list(zip(*w))
         den = e**n * math.prod(v_den + w_den)
         scale, weights = sign, [c[i] for i in support]
-        mvs = [kernel.det([list(vt[k - i]) for i in reversed(subset)], mod) for subset in subsets]
-        mws = [kernel.det([list(wt[i]) for i in subset], mod) for subset in subsets]
+        mvs = [kernel.det_rows([vt[k - i] for i in reversed(subset)], mod) for subset in subsets]
+        mws = [kernel.det_rows([wt[i] for i in subset], mod) for subset in subsets]
     else:
         # a descending-exponent minor is prod_{r<r'}(x_r - x_{r'}) * s_lam,
         # i.e. (-1)^C(n,2) times the ascending Vandermonde product; W's

@@ -34,12 +34,18 @@ reduces their slots mod p in place, a few big-int operations per column
 (a Barrett step on the even and then the odd slots, each alone in a
 2w-bit lane), which is exact for slots below 2^(w-1). The sum form's
 slots, for both products and the elimination, are therefore sized for
-twice (k + rows) (p-1)^2 + p. Packing and unpacking cost a few
-interpreted operations per entry, which an n x n matrix pays back only
-from about PACK_MIN rows on. Below that the entry-by-entry code runs
-(every ffprob trial's entries, and elimination mod p past ``det``'s
-BAREISS_MAX_N rows); it stays the reference the packed code is tested
-against.
+twice (k + rows) (p-1)^2 + p. ``_pack_rows`` packs every table, in one
+pass where its entries are residues below the slot width, by strided
+byte copies out of one array of 64-bit words: W's columns in ``product``,
+Y's power columns in ``sum_form`` and ``echelon``'s rows, which only
+reads them. ``_pack`` packs one row, one ``to_bytes`` per entry: the one
+pivot row that ``_eliminate`` re-packs at each step, and every row of a
+table with any other entry, which it reduces. Packing and
+unpacking cost a few interpreted operations per entry, which an n x n
+matrix pays back only from about PACK_MIN rows on. Below that the
+entry-by-entry code runs (every ffprob trial's entries, and elimination
+mod p past ``det``'s BAREISS_MAX_N rows); it stays the reference the
+packed code is tested against.
 
 Multimodular determinant over Z. Bareiss' intermediate integers are the
 leading minors of the matrix, so its cost follows their size, not only
@@ -96,6 +102,8 @@ calls ``det`` per minor.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from itertools import chain, repeat
 from operator import mul
 
@@ -158,6 +166,31 @@ def _pack(row: list[int], size: int, mod: int) -> int:
     return int.from_bytes(b"".join([(x % mod).to_bytes(size, "little") for x in row]), "little")
 
 
+def _pack_rows(rows: list, size: int, mod: int) -> list[int]:
+    """[_pack(row, size, mod) for row in rows], in one pass where every entry
+    is a residue below 2^(8 size): all rows go into one array of 64-bit
+    words, which refuses negative and wider entries, and byte b of every
+    word is copied into byte b of its slot by one strided slice. Any other
+    entry sends every row through _pack."""
+    flat = list(chain.from_iterable(rows))
+    try:
+        words = array("Q", flat)
+    except OverflowError:
+        words = None
+    if words is None or flat and max(flat) >= min(mod, 1 << 8 * size):
+        return [_pack(row, size, mod) for row in rows]
+    if sys.byteorder == "big":
+        words.byteswap()
+    raw, out, step = words.tobytes(), bytearray(len(flat) * size), words.itemsize
+    for b in range(min(size, step)):
+        out[b::size] = raw[b::step]
+    view, packed, at = memoryview(out), [], 0
+    for row in rows:
+        packed.append(int.from_bytes(view[at : at + len(row) * size], "little"))
+        at += len(row) * size
+    return packed
+
+
 def _unpack(packed: int, count: int, size: int, mod: int) -> list[int]:
     """The count slots of packed, each reduced mod p."""
     raw = packed.to_bytes(count * size, "little")
@@ -216,7 +249,7 @@ def _product_packed(v, c, w, mod, size):
     """The rows of V * diag(c) * W^T over F_p, packed in slots of size bytes
     and unreduced: each column i of W packed across s, and row r the packed
     sum of (v[r][i] c[i] mod p) * column_i."""
-    cols = [_pack(col, size, mod) for col in zip(*w)]
+    cols = _pack_rows(list(zip(*w)), size, mod)
     return [sum(map(mul, [x * y % mod for x, y in zip(row, c)], cols)) for row in v]
 
 
@@ -241,14 +274,18 @@ def sum_form(coeffs: list[int], xs: list[int], ys: list[int], mod: int | None = 
     deg f * bit_length(p) <= HORNER_MAX_BITS, and reduces every step past it."""
     if _pascal_pays(coeffs, xs, ys, mod):
         return _sum_form_packed(coeffs, xs, ys, mod)
-    rc = coeffs[::-1]
+    # Horner from the leading coefficient, reduced over F_p so that a
+    # constant f is too; no coefficients give f = 0
+    top, rc = (coeffs[-1], coeffs[-2::-1]) if coeffs else (0, ())
+    if mod is not None:
+        top %= mod
     each_step = mod is not None and (len(coeffs) - 1) * mod.bit_length() > HORNER_MAX_BITS
     once = mod is not None and not each_step
     rows = []
     for x in xs:
         row = []
         for y in ys:
-            t, acc = x + y, 0
+            t, acc = x + y, top
             if each_step:
                 for c in rc:
                     acc = (acc * t + c) % mod
@@ -294,7 +331,7 @@ def _pascal_packed(coeffs, xs, ys, mod):
     keeps the spare top bit that _reduce_slots needs."""
     m = len(coeffs) - 1
     size = _slot_bytes(2 * ((m + 1 + len(xs)) * (mod - 1) ** 2 + mod))
-    ycols = [_pack(col, size, mod) for col in zip(*powers([1] * len(ys), ys, m, mod))]
+    ycols = _pack_rows(list(zip(*powers([1] * len(ys), ys, m, mod))), size, mod)
     cols = _reduce_slots([sum(map(mul, row, ycols)) for row in pascal(coeffs, m + 1, mod)], len(ys), size, mod)
     return [sum(map(mul, row, cols)) for row in powers([1] * len(xs), xs, m, mod)], size
 
@@ -351,7 +388,8 @@ def h_table(xs: list[int], m: int, mod: int | None = None) -> list[int]:
 
 
 def echelon(a: list[list[int]], mod: int | None = None) -> tuple[int, int]:
-    """Row echelon form of a, column by column; consumes a. Fraction-free
+    """Row echelon form of a, column by column; consumes a, but over F_p from
+    PACK_MIN rows and columns on only reads it. Fraction-free
     (Bareiss) over Z, where each division is exact by Sylvester's identity,
     and with the pivot inverse pow(x, -1, p) over F_p. Returns the rank and,
     for a square matrix of full rank, its determinant."""
@@ -391,7 +429,7 @@ def _echelon_packed(a, mod):
     """``echelon`` over F_p on rows packed from a, in slots wide enough for
     len(a) elimination steps on reduced entries."""
     size = _slot_bytes(len(a) * (mod - 1) ** 2 + mod)
-    return _eliminate([_pack(row, size, mod) for row in a], len(a[0]), size, mod)
+    return _eliminate(_pack_rows(a, size, mod), len(a[0]), size, mod)
 
 
 def _eliminate(live, cols, size, mod):
@@ -429,14 +467,22 @@ def det(a: list[list[int]], mod: int | None = None) -> int:
     """Determinant of a square matrix by the route its row count picks: 1 to
     4 rows by cofactors, 0 and 5 to BAREISS_MAX_N by Bareiss, both over Z
     and reduced mod ``mod`` once, which is exact for any modulus
-    (det_multimodular's prime products too); more by ``echelon`` mod ``mod``.
-    ``echelon`` consumes a."""
+    (det_multimodular's prime products too); more by ``echelon`` mod ``mod``,
+    which consumes a below PACK_MIN rows or over Z."""
     if 0 < len(a) <= 4:
         d = _cofactor_det(a)
     else:
         rank, d = echelon(a, None if len(a) <= BAREISS_MAX_N else mod)
         d = d if rank == len(a) else 0
     return d if mod is None else d % mod
+
+
+def det_rows(rows: list, mod: int | None = None) -> int:
+    """``det`` of the square matrix with these rows, which may be tuples and
+    are left as they are: over F_p from PACK_MIN rows on ``det`` only reads
+    them, for its packed elimination, and otherwise it gets copies."""
+    packed = mod is not None and len(rows) >= PACK_MIN
+    return det(rows if packed else [list(row) for row in rows], mod)
 
 
 def _cofactor_det(m: list[list[int]]) -> int:

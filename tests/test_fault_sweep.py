@@ -64,6 +64,8 @@ _slot_bytes         | -    | -    | -     | -     | -     | OverflowError | Over
 _reduce_slots       | -    | -    | -     | -     | -     | -             | -             | FAIL          | -     | -             | -
 PrimeField.lift     | FAIL | FAIL | PASS* | PASS* | PASS* | FAIL          | PASS*         | FAIL          | PASS* | -             | -
 RationalDomain.lift | -    | -    | -     | -     | -     | -             | -             | -             | -     | FAIL          | PASS*
+_pack_rows          | -    | -    | -     | -     | -     | FAIL          | PASS*         | FAIL          | PASS* | FAIL          | -
+det_rows            | FAIL | FAIL | -     | -     | -     | FAIL          | -             | -             | -     | FAIL          | -
 """
 
 
@@ -117,6 +119,12 @@ def _lift(orig, dom, xs):
     return [_reduced(2 * x, dom.modulus) for x in nums[:1]] + nums[1:], den
 
 
+def _pack_rows(orig, rows, size, mod):
+    # slot 0 of the first packed row plus 1
+    packed = orig(rows, size, mod)
+    return [x + 1 for x in packed[:1]] + packed[1:]
+
+
 def _minors(orig, tables, n, mod=None):
     # every minor of every table doubled
     return [[_reduced(2 * x, mod) for x in minors] for minors in orig(tables, n, mod)]
@@ -139,6 +147,8 @@ FAULTS = dict(
         _wrapped("_reduce_slots", _reduce_slots),
         _wrapped("PrimeField.lift", _lift),
         _wrapped("RationalDomain.lift", _lift),
+        _wrapped("_pack_rows", _pack_rows),
+        _wrapped("det_rows", lambda orig, rows, mod=None: _reduced(2 * orig(rows, mod), mod)),
     ]
 )
 

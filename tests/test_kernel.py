@@ -7,7 +7,9 @@ its grouped moduli against the primes one at a time. ``det``'s cofactor
 path and ``sum_form``'s two Horner modes are checked against a Leibniz
 expansion and against f evaluated entry by entry, and ``det``'s routes on
 both sides of BAREISS_MAX_N against Bareiss over Z and elimination mod p.
-``minors`` is checked against a Leibniz expansion of each combination."""
+``minors`` is checked against a Leibniz expansion of each combination.
+``_pack_rows`` is checked against ``_pack`` row by row, and ``det_rows``
+against ``det`` on copies."""
 
 import hashlib
 import io
@@ -180,6 +182,77 @@ def test_reduce_slots_matches_mod_p(p):
             packed = [sum(x << 8 * size * j for j, x in enumerate(row)) for row in slots]
             expected = [kernel._pack(row, size, p) for row in slots]
             assert kernel._reduce_slots(packed, count, size, p) == expected, (size, count)
+
+
+def _no_pack(*args):
+    raise AssertionError("_pack called on a table of residues")
+
+
+# (mod, size): slots of 3, 8, 9 and 63 bytes, each wide enough for residues
+PACK_ROWS_CASES = [(65537, 3), (2**61 - 1, 8), (2**31 - 1, 9), (2**61 - 1, 63), (2, 3)]
+
+
+@pytest.mark.parametrize("mod,size", PACK_ROWS_CASES)
+def test_pack_rows_matches_pack_row_by_row(monkeypatch, mod, size):
+    """On tables of residues, lists or tuples of equal or unequal lengths,
+    with 0 and p - 1 at every position, _pack_rows gives _pack's ints row by
+    row, without calling _pack."""
+    rng = random.Random(size + mod % 1000)
+    tables = [[], [[]], [[0, mod - 1, 1]], [tuple(rng.randrange(mod) for _ in range(80)) for _ in range(80)]]
+    tables += [[[mod - 1] * 17] * 3 + [[0] * 17], [[rng.randrange(mod) for _ in range(j)] for j in range(9)]]
+    expected = [[kernel._pack(row, size, mod) for row in rows] for rows in tables]
+    monkeypatch.setattr(kernel, "_pack", _no_pack)
+    assert [kernel._pack_rows(rows, size, mod) for rows in tables] == expected
+
+
+@pytest.mark.parametrize(
+    "rows,size,mod",
+    [
+        ([[1, 2], [101, 3]], 3, 101),  # an entry of p, which _pack reduces
+        ([[5, 2**64 + 7]], 9, 2**127 - 1),  # a residue wider than a 64-bit word
+        ([[5, 2**70 + 1]], 3, 65537),  # unreduced and wider than a word
+        ([[1, -1], [2, 3]], 3, 101),  # a negative entry
+    ],
+)
+def test_pack_rows_falls_back_to_pack(monkeypatch, rows, size, mod):
+    """Entries that are no residues below 2^(8 size), or wider than a
+    64-bit word, take _pack row by row, which reduces them."""
+    expected, pack, calls = [kernel._pack(row, size, mod) for row in rows], kernel._pack, []
+    monkeypatch.setattr(kernel, "_pack", lambda row, size, mod: calls.append(row) or pack(row, size, mod))
+    assert kernel._pack_rows(rows, size, mod) == expected
+    assert calls == rows
+
+
+def test_pack_rows_raises_as_pack_on_a_residue_wider_than_its_slot():
+    """2^24 is a residue mod 2^31 - 1 that needs a fourth byte: _pack_rows
+    raises _pack's OverflowError, as a 3-byte slot would in _pack."""
+    for pack in (lambda: kernel._pack([0, 2**24], 3, 2**31 - 1), lambda: kernel._pack_rows([[0, 2**24]], 3, 2**31 - 1)):
+        with pytest.raises(OverflowError):
+            pack()
+
+
+@pytest.mark.parametrize("mod", [None] + PRIMES)
+def test_det_rows_matches_det_and_keeps_its_rows(monkeypatch, mod):
+    """det_rows equals det on copies, over Z and F_p, at cofactor, Bareiss
+    and elimination sizes and on both sides of PACK_MIN, on rows given as
+    tuples or lists, also singular; the rows are left as they are. Over F_p
+    from PACK_MIN rows on det gets the rows themselves, and below or over Z
+    copies."""
+    rng = random.Random(17 + (mod or 0) % 1000)
+    calls, det = [], kernel.det
+    monkeypatch.setattr(kernel, "det", lambda a, m=None: calls.append(a) or det(a, m))
+    for n in (1, 4, 5, kernel.BAREISS_MAX_N + 1, kernel.PACK_MIN - 1, kernel.PACK_MIN, kernel.PACK_MIN + 1, 24):
+        top = mod or 2**20
+        a = [[rng.randrange(-top if mod is None else 0, top) for _ in range(n)] for _ in range(n)]
+        singular = a[:-1] + [a[0]]
+        for rows in (a, [tuple(row) for row in a], singular):
+            before = [list(row) for row in rows]
+            calls.clear()
+            assert kernel.det_rows(rows, mod) == det([list(row) for row in rows], mod), n
+            assert [list(row) for row in rows] == before
+            (given,) = calls
+            shared = given is rows or any(x is y for x, y in zip(given, rows))
+            assert shared == (mod is not None and n >= kernel.PACK_MIN)
 
 
 def test_vandermonde_grouped_differences_match_one_at_a_time():
@@ -549,6 +622,20 @@ def test_sum_form_horner_modes_match_entrywise(mod, coeffs, xs, ys, below):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(kernel, "HORNER_MAX_BITS", bits)
         assert kernel.sum_form(coeffs, xs, ys, mod) == [[f(x + y) for y in ys] for x in xs]
+
+
+@pytest.mark.parametrize("bits", [None, -1])
+@pytest.mark.parametrize("mod", [None, 7, 2**31 - 1])
+def test_sum_form_of_no_coefficients_and_of_degree_0(mod, bits):
+    """Horner starts at the leading coefficient: no coefficients still give
+    zeros, and a constant, here unreduced, is reduced over F_p, with each
+    entry reduced once and (HORNER_MAX_BITS patched to -1) every step."""
+    with pytest.MonkeyPatch.context() as m:
+        if bits is not None:
+            m.setattr(kernel, "HORNER_MAX_BITS", bits)
+        assert kernel.sum_form([], [1, 2], [3, 4, 5], mod) == [[0] * 3] * 2
+        c = 3 * 2**31 + 5
+        assert kernel.sum_form([c], [1, 2], [3], mod) == [[c if mod is None else c % mod]] * 2
 
 
 MODULI = [2, 101, 2**31 - 1, 2**61 - 1, (2**61 - 1) * (2**31 - 1)]
