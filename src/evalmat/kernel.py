@@ -2,11 +2,13 @@
 
 Every function takes plain int lists and ``mod``: None for exact arithmetic
 over Z, a prime p for F_p (inputs and results in [0, p)); ``det`` also takes
-a product of distinct primes (see the last paragraph). The engines stay
-on this integer image: they build a matrix as int rows with its row and
-column denominators and divide once by their product at the end.
-Fraction/FpElement, and the DenseMatrix that holds them, appear only at the
-API edge, where a caller passes scalars in or takes a matrix or value back.
+a product of distinct primes (see the last paragraph). No function changes
+the lists it is given, and ``det`` and ``echelon`` take tuple rows too.
+The engines stay on this integer image: they build a matrix as int rows
+with its row and column denominators and divide once by their product at
+the end. Fraction/FpElement, and the DenseMatrix that holds them, appear
+only at the API edge, where a caller passes scalars in or takes a matrix
+or value back.
 Over F_p every denominator is 1. Over Q each point keeps its own
 denominator, a_r = A_r/d_r, so V = [a_r^(k-i)] is ``powers``' row
 (A_r^k, A_r^(k-1) d_r, ..., d_r^k) over d_r^k, W likewise over e_s^k,
@@ -24,11 +26,13 @@ below 2^w, so it cannot carry into its neighbour either, and slots are
 reduced mod p when they are read. For a product over k terms that sum is
 k (p-1)^2; in elimination a row receives at most one multiple of a
 reduced pivot row per step, (p-1)^2 per slot, so rows (p-1)^2 + p bounds
-every slot. ``product_det`` and ``sum_form_det`` eliminate A's packed
-rows as they are, unreduced, in slots of (k + rows) (p-1)^2 + p: the
-oracle's A is never unpacked, and only the callers that need its entries
-as lists (``evaluation_matrix``, ``evalmat matrix``) unpack its rows, each
-once. The sum form's A = X P Y^T is two products with nothing unpacked
+every slot. Each packed builder (``_product_packed``, ``_pascal_packed``)
+returns A's rows unreduced with a slot size that also serves the
+elimination, (k + rows) (p-1)^2 + p: ``product_det`` and ``sum_form_det``
+eliminate them as they are, so the oracle's A is never unpacked, and
+``product`` and ``sum_form`` unpack each row once for the callers that
+need its entries as lists (``evaluation_matrix``, ``evalmat matrix``).
+The sum form's A = X P Y^T is two products with nothing unpacked
 between them: the first gives Y P's columns packed, and ``_reduce_slots``
 reduces their slots mod p in place, a few big-int operations per column
 (a Barrett step on the even and then the odd slots, each alone in a
@@ -37,12 +41,12 @@ slots, for both products and the elimination, are therefore sized for
 twice (k + rows) (p-1)^2 + p. ``_pack_rows`` packs every table, in one
 pass where its entries are residues below the slot width, by strided
 byte copies out of one array of 64-bit words: W's columns in ``product``,
-Y's power columns in ``sum_form`` and ``echelon``'s rows, which only
-reads them. ``_pack`` packs one row, one ``to_bytes`` per entry: the one
-pivot row that ``_eliminate`` re-packs at each step, and every row of a
-table with any other entry, which it reduces. Packing and
-unpacking cost a few interpreted operations per entry, which an n x n
-matrix pays back only from about PACK_MIN rows on. Below that the
+Y's power columns in ``sum_form`` and ``echelon``'s rows. ``_pack``
+packs one row, one ``to_bytes`` per entry: the one pivot row that
+``_eliminate`` re-packs at each step, and every row of a table with any
+other entry, which it reduces. Packing and unpacking cost a few
+interpreted operations per entry, which an n x n matrix pays back only
+from about PACK_MIN rows on. Below that the
 entry-by-entry code runs (every ffprob trial's entries, and elimination
 mod p past ``det``'s BAREISS_MAX_N rows); it stays the reference the
 packed code is tested against.
@@ -91,12 +95,10 @@ their smaller minors. ``minors`` builds them level by level: level r holds
 the minors of every r rows on the first r columns, each expanded along
 column r-1 over level r-1, with the rows, positions and cofactor signs it
 reads fixed by (m, n) alone: one call takes every table of that shape and
-builds this plan once for all of them, and no plan outlives the call. Each
-level below n is no larger than level n while 2n <= m + 1; past that they
-grow like 2^m (m = n = 95 would need about 2^95). The Cauchy-Binet H route
-takes the pass for both sides in one call by that rule, a bound on the
-levels' sizes rather than a measured crossover (CHANGES.md), and otherwise
-calls ``det`` per minor.
+builds this plan once for all of them, and no plan outlives the call.
+The levels below n can outgrow level n (m = n = 95 would need about 2^95
+minors); ``det.det_cauchy_binet`` states the rule by which the H route
+takes this pass or calls ``det`` per minor.
 """
 
 from __future__ import annotations
@@ -198,9 +200,11 @@ def _unpack(packed: int, count: int, size: int, mod: int) -> list[int]:
 
 
 def product(v: list[list[int]], c: list[int], w: list[list[int]], mod: int | None = None):
-    """V * diag(c) * W^T: entry (r, s) is sum_i v[r][i] * c[i] * w[s][i]."""
+    """V * diag(c) * W^T: entry (r, s) is sum_i v[r][i] * c[i] * w[s][i].
+    Over F_p from PACK_MIN rows on, _product_packed's rows unpacked once each."""
     if len(v) >= PACK_MIN and len(w) >= PACK_MIN and mod is not None:
-        return _product_rows(v, c, w, mod)
+        rows, size = _product_packed(v, c, w, mod)
+        return [_unpack(row, len(w), size, mod) for row in rows]
     vc = [[x * y for x, y in zip(row, c)] for row in v]
     if mod is None:
         return [[sum(map(mul, u, t)) for t in w] for u in vc]
@@ -209,12 +213,12 @@ def product(v: list[list[int]], c: list[int], w: list[list[int]], mod: int | Non
 
 
 def product_det(v: list[list[int]], c: list[int], w: list[list[int]], mod: int | None = None) -> int:
-    """det(V * diag(c) * W^T) for len(v) == len(w). Over F_p from PACK_MIN
-    rows on, the product's packed rows go to the elimination unreduced, in
-    slots wide enough for both; otherwise _image_det(product(...))."""
+    """det(V * diag(c) * W^T) for len(v) == len(w): over F_p from PACK_MIN
+    rows on, ``_eliminate`` on _product_packed's rows as they are; otherwise
+    _image_det(product(...))."""
     if len(v) >= PACK_MIN and len(w) >= PACK_MIN and mod is not None:
-        size = _slot_bytes((len(c) + len(v)) * (mod - 1) ** 2 + mod)
-        rank, d = _eliminate(_product_packed(v, c, w, mod, size), len(w), size, mod)
+        rows, size = _product_packed(v, c, w, mod)
+        rank, d = _eliminate(rows, len(w), size, mod)
         return d if rank == len(v) else 0
     return _image_det(product(v, c, w, mod), mod)
 
@@ -223,7 +227,7 @@ def _image_det(rows: list[list[int]], mod: int | None) -> int:
     """The determinant of an evaluation image: over Z by det_multimodular
     where Bareiss' leading minors grow, n^3 * bit_length(2H) >=
     MULTIMODULAR_MIN_SIZE for n > BAREISS_MAX_N rows and H their Hadamard
-    bound, which is computed once; otherwise by det, which consumes rows.
+    bound, which is computed once; otherwise by det.
     H is not computed where a bound from each row's largest entry already
     keeps the size below the threshold: each row's norm is below
     sqrt(n) 2^b for b the bit length of that entry, so bit_length(2H) <=
@@ -238,19 +242,14 @@ def _image_det(rows: list[list[int]], mod: int | None) -> int:
     return det(rows, mod)
 
 
-def _product_rows(v, c, w, mod):
-    """V * diag(c) * W^T over F_p as lists: _product_packed in slots just
-    wide enough for the product, each row unpacked once."""
-    size = _slot_bytes(len(c) * (mod - 1) ** 2)
-    return [_unpack(row, len(w), size, mod) for row in _product_packed(v, c, w, mod, size)]
-
-
-def _product_packed(v, c, w, mod, size):
-    """The rows of V * diag(c) * W^T over F_p, packed in slots of size bytes
-    and unreduced: each column i of W packed across s, and row r the packed
-    sum of (v[r][i] c[i] mod p) * column_i."""
+def _product_packed(v, c, w, mod):
+    """The packed rows of V * diag(c) * W^T over F_p, unreduced, and their
+    slot size in bytes, wide enough for the product and len(v) elimination
+    steps: each column i of W packed across s, and row r the packed sum of
+    (v[r][i] c[i] mod p) * column_i."""
+    size = _slot_bytes((len(c) + len(v)) * (mod - 1) ** 2 + mod)
     cols = _pack_rows(list(zip(*w)), size, mod)
-    return [sum(map(mul, [x * y % mod for x, y in zip(row, c)], cols)) for row in v]
+    return [sum(map(mul, [x * y % mod for x, y in zip(row, c)], cols)) for row in v], size
 
 
 def pascal(coeffs: list[int], n: int, mod: int | None = None) -> list[list[int]]:
@@ -273,7 +272,8 @@ def sum_form(coeffs: list[int], xs: list[int], ys: list[int], mod: int | None = 
     Over F_p, Horner runs over Z and reduces each entry once while
     deg f * bit_length(p) <= HORNER_MAX_BITS, and reduces every step past it."""
     if _pascal_pays(coeffs, xs, ys, mod):
-        return _sum_form_packed(coeffs, xs, ys, mod)
+        rows, size = _pascal_packed(coeffs, xs, ys, mod)
+        return [_unpack(row, len(ys), size, mod) for row in rows]
     # Horner from the leading coefficient, reduced over F_p so that a
     # constant f is too; no coefficients give f = 0
     top, rc = (coeffs[-1], coeffs[-2::-1]) if coeffs else (0, ())
@@ -312,13 +312,6 @@ def _pascal_pays(coeffs, xs, ys, mod):
     rows on, and while the (deg+1)^2 grid is no larger than the n x n
     result, deg f < n."""
     return len(xs) >= PACK_MIN and len(ys) >= PACK_MIN and 0 < len(coeffs) <= len(xs) and mod is not None
-
-
-def _sum_form_packed(coeffs, xs, ys, mod):
-    """[f(x_r + y_s)] over F_p as lists: each of _pascal_packed's rows
-    unpacked once."""
-    rows, size = _pascal_packed(coeffs, xs, ys, mod)
-    return [_unpack(row, len(ys), size, mod) for row in rows]
 
 
 def _pascal_packed(coeffs, xs, ys, mod):
@@ -388,13 +381,16 @@ def h_table(xs: list[int], m: int, mod: int | None = None) -> list[int]:
 
 
 def echelon(a: list[list[int]], mod: int | None = None) -> tuple[int, int]:
-    """Row echelon form of a, column by column; consumes a, but over F_p from
-    PACK_MIN rows and columns on only reads it. Fraction-free
-    (Bareiss) over Z, where each division is exact by Sylvester's identity,
-    and with the pivot inverse pow(x, -1, p) over F_p. Returns the rank and,
-    for a square matrix of full rank, its determinant."""
+    """Row echelon form of a, column by column: fraction-free (Bareiss) over
+    Z, where each division is exact by Sylvester's identity, and with the
+    pivot inverse pow(x, -1, p) over F_p, on rows packed in slots wide
+    enough for len(a) steps from PACK_MIN rows and columns on. Returns the
+    rank and, for a square matrix of full rank, its determinant."""
     if len(a) >= PACK_MIN and len(a[0]) >= PACK_MIN and mod is not None:
-        return _echelon_packed(a, mod)
+        size = _slot_bytes(len(a) * (mod - 1) ** 2 + mod)
+        return _eliminate(_pack_rows(a, size, mod), len(a[0]), size, mod)
+    # the packed route only reads a's rows; these routes change a copy
+    a = [list(row) for row in a]
     rank, sign, prev, d = 0, 1, 1, 1
     for c in range(len(a[0]) if a else 0):
         for i in range(rank, len(a)):
@@ -423,13 +419,6 @@ def echelon(a: list[list[int]], mod: int | None = None) -> tuple[int, int]:
                         row[j] = (row[j] - f * top[j]) % mod
         rank += 1
     return rank, sign * d if mod is None else sign * d % mod
-
-
-def _echelon_packed(a, mod):
-    """``echelon`` over F_p on rows packed from a, in slots wide enough for
-    len(a) elimination steps on reduced entries."""
-    size = _slot_bytes(len(a) * (mod - 1) ** 2 + mod)
-    return _eliminate(_pack_rows(a, size, mod), len(a[0]), size, mod)
 
 
 def _eliminate(live, cols, size, mod):
@@ -467,22 +456,13 @@ def det(a: list[list[int]], mod: int | None = None) -> int:
     """Determinant of a square matrix by the route its row count picks: 1 to
     4 rows by cofactors, 0 and 5 to BAREISS_MAX_N by Bareiss, both over Z
     and reduced mod ``mod`` once, which is exact for any modulus
-    (det_multimodular's prime products too); more by ``echelon`` mod ``mod``,
-    which consumes a below PACK_MIN rows or over Z."""
+    (det_multimodular's prime products too); more by ``echelon`` mod ``mod``."""
     if 0 < len(a) <= 4:
         d = _cofactor_det(a)
     else:
         rank, d = echelon(a, None if len(a) <= BAREISS_MAX_N else mod)
         d = d if rank == len(a) else 0
     return d if mod is None else d % mod
-
-
-def det_rows(rows: list, mod: int | None = None) -> int:
-    """``det`` of the square matrix with these rows, which may be tuples and
-    are left as they are: over F_p from PACK_MIN rows on ``det`` only reads
-    them, for its packed elimination, and otherwise it gets copies."""
-    packed = mod is not None and len(rows) >= PACK_MIN
-    return det(rows if packed else [list(row) for row in rows], mod)
 
 
 def _cofactor_det(m: list[list[int]]) -> int:
@@ -526,9 +506,9 @@ def minors(tables: list[list[list[int]]], n: int, mod: int | None = None) -> lis
     shape alone, so it is built once per call and read by every table.
     Colex order over the reversed rows is combinations order reversed, and
     each minor then reads its rows bottom up, which costs (-1)^C(n,2), put
-    on column 0. Each level is reduced mod ``mod`` once. Each level below n
-    is no larger than level n while 2n <= len(rows) + 1; past that they grow
-    like 2^len(rows)."""
+    on column 0. Each level is reduced mod ``mod`` once. The levels below n
+    can outgrow level n; ``det.det_cauchy_binet`` states the rule by which
+    the H route calls this pass."""
     if not n:
         return [[1] for _ in tables]
     m = len(tables[0])
@@ -588,8 +568,8 @@ def _crt_limit(a: list[list[int]]) -> int:
 
 
 def det_multimodular(a: list[list[int]], limit: int | None = None) -> int:
-    """Determinant of a square integer matrix by CRT over det mod q_j; a is
-    left as it is. Each q_j is the product of up to MULTIMODULAR_GROUP
+    """Determinant of a square integer matrix by CRT over det mod q_j. Each
+    q_j is the product of up to MULTIMODULAR_GROUP
     consecutive primes p_i, and primes are taken until their product M
     exceeds twice the Hadamard bound H >= |det|, so the symmetric residue
     mod M is det itself. limit is _crt_limit(a), computed here unless the

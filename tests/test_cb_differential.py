@@ -14,11 +14,11 @@ draws every point from a pool of at most q residues, so collisions are the
 rule there rather than the exception.
 
 A third test runs both routes past the harness' sizes, where kernel.det
-consumes the rows it is given: by Bareiss over Z at 5 and 8 rows, and at 9
-and 10 over Q, and by elimination mod p past kernel.BAREISS_MAX_N at 9 and
-10 rows over F_101. Each route takes every minor's rows from tables built
-once per expansion, so a table row that one minor's elimination changed
-would corrupt the later terms that read it.
+eliminates: by Bareiss over Z at 5 and 8 rows, and at 9 and 10 over Q,
+and by elimination mod p past kernel.BAREISS_MAX_N at 9 and 10 rows over
+F_101. Each route takes every minor's rows from tables built once per
+expansion, so a table row that one minor's elimination changed would
+corrupt the later terms that read it.
 
 A fourth test holds both routes' terms to freshly built minors on supports
 just inside and just outside 2n <= m + 1, the rule under which the H route

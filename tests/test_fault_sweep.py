@@ -65,7 +65,6 @@ _reduce_slots       | -    | -    | -     | -     | -     | -             | -   
 PrimeField.lift     | FAIL | FAIL | PASS* | PASS* | PASS* | FAIL          | PASS*         | FAIL          | PASS* | -             | -
 RationalDomain.lift | -    | -    | -     | -     | -     | -             | -             | -             | -     | FAIL          | PASS*
 _pack_rows          | -    | -    | -     | -     | -     | FAIL          | PASS*         | FAIL          | PASS* | FAIL          | -
-det_rows            | FAIL | FAIL | -     | -     | -     | FAIL          | -             | -             | -     | FAIL          | -
 """
 
 
@@ -148,7 +147,6 @@ FAULTS = dict(
         _wrapped("PrimeField.lift", _lift),
         _wrapped("RationalDomain.lift", _lift),
         _wrapped("_pack_rows", _pack_rows),
-        _wrapped("det_rows", lambda orig, rows, mod=None: _reduced(2 * orig(rows, mod), mod)),
     ]
 )
 

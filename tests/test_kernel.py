@@ -1,16 +1,18 @@
 """The packed-row F_p kernels against the entry-by-entry code they replace
-from PACK_MIN rows on. The packed functions are called directly and the
-public ones with packing switched off, so both routes run at every size;
-the public tests check the dispatch around PACK_MIN against the closed
-forms. The multimodular determinant over Z is checked against Bareiss, and
-its grouped moduli against the primes one at a time. ``det``'s cofactor
+from PACK_MIN rows on. The public functions are called with packing taken
+at every size and with packing switched off, so both routes run at every
+size; the public tests check the dispatch around PACK_MIN against the
+closed forms. The multimodular determinant over Z is checked against
+Bareiss, and its grouped moduli against the primes one at a time. ``det``'s cofactor
 path and ``sum_form``'s two Horner modes are checked against a Leibniz
 expansion and against f evaluated entry by entry, and ``det``'s routes on
 both sides of BAREISS_MAX_N against Bareiss over Z and elimination mod p.
 ``minors`` is checked against a Leibniz expansion of each combination.
-``_pack_rows`` is checked against ``_pack`` row by row, and ``det_rows``
-against ``det`` on copies."""
+``_pack_rows`` is checked against ``_pack`` row by row. No public function
+may change its arguments, and ``det`` must hand rows from PACK_MIN on to
+the packed elimination uncopied."""
 
+import copy
 import hashlib
 import io
 import itertools
@@ -28,7 +30,7 @@ from hypothesis import strategies as st
 
 from evalmat import kernel
 from evalmat.cli import main
-from evalmat.det import det_borderline, det_sum_form, oracle_det
+from evalmat.det import DIRECT, det_borderline, det_cauchy_binet, det_sum_form, oracle_det
 from evalmat.matrix import PointVectors, bareiss_det, evaluation_image, evaluation_matrix
 from evalmat.poly import HomogeneousPoly, UnivariatePoly
 from evalmat.scalar import PrimeField, is_prime
@@ -65,12 +67,9 @@ def packed(monkeypatch):
 
 
 @pytest.fixture
-def both_echelons(entries):
+def both_echelons(entries, packed):
     def run(a, p):
-        return (
-            entries(kernel.echelon, [row[:] for row in a], p),
-            kernel._echelon_packed([row[:] for row in a], p),
-        )
+        return entries(kernel.echelon, a, p), packed(kernel.echelon, a, p)
 
     return run
 
@@ -128,7 +127,7 @@ def test_packed_product_matches_entries(p, entries, packed):
         v = rand_rows(rng, n, k, p)
         w = rand_rows(rng, m, k, p)
         c = [rng.randrange(p) if i % 5 else 0 for i in range(k)]
-        assert kernel._product_rows(v, c, w, p) == entries(kernel.product, v, c, w, p)
+        assert packed(kernel.product, v, c, w, p) == entries(kernel.product, v, c, w, p)
         if n != m:
             continue
         # as drawn, with a repeated point (two equal rows of V), and with
@@ -156,7 +155,7 @@ def test_packed_sum_form_matches_horner(p, entries, packed):
             # the slots of Y P's columns grow toward their bound
             coeffs, xs, ys = [p - 1] * (deg + 1), [p - 1] * n, [p - 1] * n
         expected = entries(kernel.sum_form, coeffs, xs, ys, p)
-        assert kernel._sum_form_packed(coeffs, xs, ys, p) == expected
+        assert packed(kernel.sum_form, coeffs, xs, ys, p) == expected
         assert kernel.sum_form(coeffs, xs, ys, p) == expected
         # as drawn, then with a repeated point
         for a in (xs, xs[:-1] + xs[:1]):
@@ -233,26 +232,100 @@ def test_pack_rows_raises_as_pack_on_a_residue_wider_than_its_slot():
 
 @pytest.mark.parametrize("mod", [None] + PRIMES)
 def test_det_rows_matches_det_and_keeps_its_rows(monkeypatch, mod):
-    """det_rows equals det on copies, over Z and F_p, at cofactor, Bareiss
-    and elimination sizes and on both sides of PACK_MIN, on rows given as
-    tuples or lists, also singular; the rows are left as they are. Over F_p
-    from PACK_MIN rows on det gets the rows themselves, and below or over Z
-    copies."""
+    """det on rows given as tuples or lists, also singular, equals det on
+    list copies over Z and F_p, at cofactor, Bareiss and elimination sizes
+    and on both sides of PACK_MIN, and leaves its rows as they are. Over F_p
+    from PACK_MIN rows on, the packed elimination packs the rows themselves,
+    uncopied."""
     rng = random.Random(17 + (mod or 0) % 1000)
-    calls, det = [], kernel.det
-    monkeypatch.setattr(kernel, "det", lambda a, m=None: calls.append(a) or det(a, m))
+    calls, pack_rows = [], kernel._pack_rows
+    monkeypatch.setattr(kernel, "_pack_rows", lambda rows, size, m: calls.append(rows) or pack_rows(rows, size, m))
     for n in (1, 4, 5, kernel.BAREISS_MAX_N + 1, kernel.PACK_MIN - 1, kernel.PACK_MIN, kernel.PACK_MIN + 1, 24):
         top = mod or 2**20
         a = [[rng.randrange(-top if mod is None else 0, top) for _ in range(n)] for _ in range(n)]
         singular = a[:-1] + [a[0]]
         for rows in (a, [tuple(row) for row in a], singular):
-            before = [list(row) for row in rows]
+            before = copy.deepcopy(rows)
+            expected = kernel.det([list(row) for row in rows], mod)
             calls.clear()
-            assert kernel.det_rows(rows, mod) == det([list(row) for row in rows], mod), n
-            assert [list(row) for row in rows] == before
-            (given,) = calls
-            shared = given is rows or any(x is y for x, y in zip(given, rows))
-            assert shared == (mod is not None and n >= kernel.PACK_MIN)
+            assert kernel.det(rows, mod) == expected, n
+            assert rows == before
+            assert [given is rows for given in calls] == ([True] if mod is not None and n >= kernel.PACK_MIN else [])
+
+
+def test_direct_minors_reach_the_packed_elimination_uncopied(monkeypatch):
+    """DIRECT's minors from PACK_MIN rows on are packed from the tuples of
+    V^T and W^T themselves, one _pack_rows call per minor, and give the
+    oracle's value."""
+    field = PrimeField(2**31 - 1)
+    n = kernel.PACK_MIN
+    rng = random.Random(19)
+    p = HomogeneousPoly(n, [rng.randrange(1, field.p) for _ in range(n + 1)], field)
+    pts = PointVectors(rng.sample(range(field.p), n), rng.sample(range(field.p), n), field)
+    expected, calls, pack_rows = oracle_det(p, pts).value, [], kernel._pack_rows
+    monkeypatch.setattr(kernel, "_pack_rows", lambda rows, size, m: calls.append(rows) or pack_rows(rows, size, m))
+    assert det_cauchy_binet(p, pts, DIRECT).value == expected
+    assert len(calls) == 2 * math.comb(n + 1, n)
+    assert all(type(row) is tuple for rows in calls for row in rows)
+
+
+def _lists(x):
+    """x with every tuple and list, at any depth, a new list."""
+    return [_lists(y) for y in x] if isinstance(x, (list, tuple)) else x
+
+
+# the moduli det and echelon take: exact, a prime, and a product of
+# MULTIMODULAR_GROUP primes as det_multimodular hands det
+ARG_MODULI = [None, 2**31 - 1, "group"]
+
+
+@pytest.mark.parametrize("mod", ARG_MODULI)
+def test_no_public_kernel_function_changes_its_arguments(mod):
+    """Each public kernel function leaves its arguments as they are, and
+    gives on them the value it gives on list copies. det and echelon take
+    list and tuple rows on every route: 0 rows, 1 to 4 (cofactors), 5 to
+    BAREISS_MAX_N (Bareiss over Z, whatever the modulus), up to PACK_MIN - 1
+    (elimination mod p entry by entry) and from PACK_MIN on (packed), square
+    or rectangular for its rank, and singular."""
+    if mod == "group":
+        mod = math.prod(kernel._prime(i) for i in range(kernel.MULTIMODULAR_GROUP))
+    rng = random.Random(41 + (mod or 0) % 1000)
+    lo, hi = (-(2**20), 2**20) if mod is None else (0, mod)
+
+    def table(rows, cols):
+        return [[rng.randrange(lo, hi) for _ in range(cols)] for _ in range(rows)]
+
+    cases = []
+    for n in (0, 1, 2, 3, 4, 5, kernel.BAREISS_MAX_N, kernel.BAREISS_MAX_N + 1, kernel.PACK_MIN - 1, kernel.PACK_MIN, 20):
+        a = table(n, n)
+        for rows in (a, a[:-1] + a[:1]):
+            cases += [(kernel.det, rows, mod), (kernel.echelon, rows, mod)]
+            cases += [(kernel.det, [tuple(row) for row in rows], mod), (kernel.echelon, [tuple(row) for row in rows], mod)]
+    for n in (3, kernel.BAREISS_MAX_N + 1, kernel.PACK_MIN):
+        for rows in (table(n, n + 3), table(n + 3, n)):
+            cases += [(kernel.echelon, rows, mod), (kernel.echelon, [tuple(row) for row in rows], mod)]
+    if mod is None or is_prime(mod):
+        for n in (3, kernel.BAREISS_MAX_N + 1, kernel.PACK_MIN):
+            xs, ys, coeffs = table(1, n)[0], table(1, n)[0], table(1, n)[0]
+            v, w = table(n, n), table(n, n)
+            cases += [
+                (kernel.powers, xs, ys, n - 1, mod),
+                (kernel.product, v, coeffs, w, mod),
+                (kernel.product_det, v, coeffs, w, mod),
+                (kernel.pascal, coeffs, n, mod),
+                (kernel.sum_form, coeffs, xs, ys, mod),
+                (kernel.sum_form_det, coeffs, xs, ys, mod),
+                (kernel.vandermonde, xs, mod),
+                (kernel.h_table, xs, n, mod),
+                (kernel.minors, [v, w], 2, mod),
+            ]
+            if mod is None:
+                cases.append((kernel.det_multimodular, v))
+    for fn, *args in cases:
+        before = copy.deepcopy(args)
+        value = fn(*args)
+        assert args == before, fn.__name__
+        assert value == fn(*_lists(before)), fn.__name__
 
 
 def test_vandermonde_grouped_differences_match_one_at_a_time():
