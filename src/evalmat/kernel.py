@@ -21,30 +21,32 @@ whole row (or column) of residues in one Python int, entry j in bits
 [j*w, (j+1)*w) with w a whole number of bytes, so that a row operation is
 one big-int multiply and add done by CPython in C. Every slot only ever
 grows by adding products of residues in [0, p), so it cannot borrow from
-its neighbour; w is chosen so that the largest sum a slot can reach fits
-below 2^w, so it cannot carry into its neighbour either, and slots are
-reduced mod p when they are read. For a product over k terms that sum is
-k (p-1)^2; in elimination a row receives at most one multiple of a
-reduced pivot row per step, (p-1)^2 per slot, so rows (p-1)^2 + p bounds
-every slot. Each packed builder (``_product_packed``, ``_pascal_packed``)
-returns A's rows unreduced with a slot size that also serves the
-elimination, (k + rows) (p-1)^2 + p: ``product_det`` and ``sum_form_det``
-eliminate them as they are, so the oracle's A is never unpacked, and
-``product`` and ``sum_form`` unpack each row once for the callers that
-need its entries as lists (``evaluation_matrix``, ``evalmat matrix``).
-The sum form's A = X P Y^T is two products with nothing unpacked
-between them: the first gives Y P's columns packed, and ``_reduce_slots``
-reduces their slots mod p in place, a few big-int operations per column
-(a Barrett step on the even and then the odd slots, each alone in a
-2w-bit lane), which is exact for slots below 2^(w-1). The sum form's
-slots, for both products and the elimination, are therefore sized for
-twice (k + rows) (p-1)^2 + p. ``_pack_rows`` packs every table, in one
-pass where its entries are residues below the slot width, by strided
-byte copies out of one array of 64-bit words: W's columns in ``product``,
-Y's power columns in ``sum_form`` and ``echelon``'s rows. ``_pack``
-packs one row, one ``to_bytes`` per entry: the one pivot row that
-``_eliminate`` re-packs at each step, and every row of a table with any
-other entry, which it reduces. Packing and unpacking cost a few
+its neighbour. A product over k terms puts up to k (p-1)^2 in a slot, and
+each elimination step adds at most (p-1)^2 more (a multiple g < p of the
+reduced pivot row), so (k + rows) (p-1)^2 + p bounds every slot of a
+packed builder's rows (``_product_packed``, ``_pascal_packed``, and
+``echelon``'s with k = 0) until they are eliminated. One slot rule,
+``_slot_bytes``, sizes every slot for twice that bound: no slot carries
+into its neighbour, and each keeps the spare top bit that
+``_reduce_slots`` needs. ``_reduce_slots`` reduces every slot of a packed
+int mod p in place in a few big-int operations (a Barrett step on the
+even and then the odd slots, each alone in a 2w-bit lane), from masks and
+a multiplier built once per elimination or table: ``_eliminate`` reduces
+each pivot row's remaining slots by it, and ``_pascal_packed`` the columns
+of Y P, so the sum form's A = X P Y^T is two products with nothing
+unpacked between them. The step is exact for any modulus, so
+``det_multimodular``'s prime products take the same packed elimination.
+Every other slot is reduced when it is read. The
+builders return A's rows unreduced with their slot size: ``product_det``
+and ``sum_form_det`` eliminate them as they are, so the oracle's A is
+never unpacked, and ``product`` and ``sum_form`` unpack each row once for
+the callers that need its entries as lists (``evaluation_matrix``,
+``evalmat matrix``). ``_pack_rows`` packs every table, in one pass where
+its entries are residues below the slot width, by strided byte copies out
+of one array of 64-bit words: W's columns in ``product``, Y's power
+columns in ``sum_form`` and ``echelon``'s rows. ``_pack``, one
+``to_bytes`` per entry, serves only its fallback: every row of a table
+with any other entry, which it reduces. Packing and unpacking cost a few
 interpreted operations per entry, which an n x n matrix pays back only
 from about PACK_MIN rows on. Below that the
 entry-by-entry code runs (every ffprob trial's entries, and elimination
@@ -158,9 +160,12 @@ def _ladder(x: int, k: int, mod: int | None) -> list[int]:
     return out
 
 
-def _slot_bytes(bound: int) -> int:
-    """Bytes per slot for slot values up to bound: the least w with 2^w > bound."""
-    return max(1, (bound.bit_length() + 7) // 8)
+def _slot_bytes(products: int, mod: int) -> int:
+    """Bytes per slot of packed F_p rows whose slots take up to ``products``
+    products of residues and one residue: the least w, in whole bytes, with
+    2^w > 2 (products (p-1)^2 + p), so that every slot also keeps the spare
+    top bit that ``_reduce_slots`` needs."""
+    return ((2 * (products * (mod - 1) ** 2 + mod)).bit_length() + 7) // 8
 
 
 def _pack(row: list[int], size: int, mod: int) -> int:
@@ -247,7 +252,7 @@ def _product_packed(v, c, w, mod):
     slot size in bytes, wide enough for the product and len(v) elimination
     steps: each column i of W packed across s, and row r the packed sum of
     (v[r][i] c[i] mod p) * column_i."""
-    size = _slot_bytes((len(c) + len(v)) * (mod - 1) ** 2 + mod)
+    size = _slot_bytes(len(c) + len(v), mod)
     cols = _pack_rows(list(zip(*w)), size, mod)
     return [sum(map(mul, [x * y % mod for x, y in zip(row, c)], cols)) for row in v], size
 
@@ -320,22 +325,24 @@ def _pascal_packed(coeffs, xs, ys, mod):
     Column i of Y P is row i of P Y^T, P's row i against Y's packed power
     columns; its slots are reduced in place (_reduce_slots), and row r is
     X's row r against those columns. One slot size serves both products and
-    the elimination: twice the bound of product_det's slots, so every slot
-    keeps the spare top bit that _reduce_slots needs."""
+    the elimination: _slot_bytes for deg f + 1 + len(xs) products."""
     m = len(coeffs) - 1
-    size = _slot_bytes(2 * ((m + 1 + len(xs)) * (mod - 1) ** 2 + mod))
+    size = _slot_bytes(m + 1 + len(xs), mod)
     ycols = _pack_rows(list(zip(*powers([1] * len(ys), ys, m, mod))), size, mod)
-    cols = _reduce_slots([sum(map(mul, row, ycols)) for row in pascal(coeffs, m + 1, mod)], len(ys), size, mod)
+    reduce = _reduce_slots(len(ys), size, mod)
+    cols = [reduce(sum(map(mul, row, ycols))) for row in pascal(coeffs, m + 1, mod)]
     return [sum(map(mul, row, cols)) for row in powers([1] * len(xs), xs, m, mod)], size
 
 
-def _reduce_slots(packed, count, size, mod):
-    """Each int of packed with its count slots of size bytes reduced mod p
-    in place, for slots below 2^(w-1), w = 8 size. The even and the odd
-    slots each sit alone in a 2w-bit lane, where x - p * floor(x * M / 2^s),
-    with s = w - 1 + bit_length(p) and M = floor(2^s / p) + 1, is x mod p
-    (division by an invariant integer, Granlund and Montgomery, PLDI 1994):
-    x * M < 2^(w-1) (2^w + 1) stays in its lane, and its quotient, below
+def _reduce_slots(count, size, mod):
+    """The function that reduces mod p, in place, every slot of a packed int
+    of up to count slots of size bytes, each below 2^(w-1), w = 8 size; its
+    masks and multiplier are built here, once per table or elimination.
+    The even and the odd slots each sit alone in a 2w-bit lane, where
+    x - p * floor(x * M / 2^s), with s = w - 1 + bit_length(p) and
+    M = floor(2^s / p) + 1, is x mod p for any modulus p (division by an
+    invariant integer, Granlund and Montgomery, PLDI 1994): x * M <
+    2^(w-1) (2^w + 1) stays in its lane, and its quotient, below
     2^(w - bit_length(p)), is masked off from the next lane's product, which
     comes in at bit 2w - s."""
     w = 8 * size
@@ -344,29 +351,42 @@ def _reduce_slots(packed, count, size, mod):
     lanes = (count + 1) // 2
     even = int.from_bytes((b"\xff" * size + bytes(size)) * lanes, "little")
     quotients = int.from_bytes(((1 << 2 * w - s) - 1).to_bytes(2 * size, "little") * lanes, "little")
-    out = []
-    for x in packed:
+
+    def reduce(x):
         lo, hi = x & even, x >> w & even
         lo -= (lo * factor >> s & quotients) * mod
         hi -= (hi * factor >> s & quotients) * mod
-        out.append(lo | hi << w)
-    return out
+        return lo | hi << w
+
+    return reduce
 
 
 def vandermonde(xs: list[int], mod: int | None = None) -> int:
-    """prod_{i<j} (x_j - x_i); 1 for fewer than two entries."""
+    """prod_{i<j} (x_j - x_i); 1 for fewer than two entries. Over F_p the
+    points go in pairs, a = x_j and b = x_(j+1), against each earlier point
+    u: (a - u)(b - u) = u (u - s) + q for s = a + b and q = a b, one product
+    per two differences. Two pairs share each u, and the product is reduced
+    once per four such factors; up to three last points go one difference
+    at a time. Shifting every point by -floor(p/2) leaves each difference
+    as it is and keeps residues of p < 2^31 in one 30-bit digit of
+    CPython's ints, whose arithmetic takes a shorter path."""
     acc = 1
-    for j, xj in enumerate(xs):
-        if mod is None:
+    if mod is None:
+        for j, xj in enumerate(xs):
             for xi in xs[:j]:
                 acc *= xj - xi
-            continue
-        # four differences per reduction mod p
-        prev = xs[:j]
-        for u, v, s, t in zip(prev[::4], prev[1::4], prev[2::4], prev[3::4]):
-            acc = acc * ((xj - u) * (xj - v) * (xj - s) * (xj - t)) % mod
-        for u in prev[j - j % 4 :]:
-            acc = acc * (xj - u) % mod
+        return acc
+    n, half = len(xs), mod // 2
+    xs = [x - half for x in xs]
+    for j in range(0, n - 3, 4):
+        a, b, c, d = xs[j : j + 4]
+        s, q, t, r = a + b, a * b, c + d, c * d
+        for u, v in zip(xs[:j:2], xs[1:j:2]):
+            acc = acc * ((u * (u - s) + q) * (u * (u - t) + r) * (v * (v - s) + q) * (v * (v - t) + r)) % mod
+        acc = acc * ((b - a) * (c - a) * (d - a) * (c - b) * (d - b) * (d - c)) % mod
+    for j in range(n - n % 4, n):
+        for u in xs[:j]:
+            acc = acc * (xs[j] - u) % mod
     return acc
 
 
@@ -387,7 +407,7 @@ def echelon(a: list[list[int]], mod: int | None = None) -> tuple[int, int]:
     enough for len(a) steps from PACK_MIN rows and columns on. Returns the
     rank and, for a square matrix of full rank, its determinant."""
     if len(a) >= PACK_MIN and len(a[0]) >= PACK_MIN and mod is not None:
-        size = _slot_bytes(len(a) * (mod - 1) ** 2 + mod)
+        size = _slot_bytes(len(a), mod)
         return _eliminate(_pack_rows(a, size, mod), len(a[0]), size, mod)
     # the packed route only reads a's rows; these routes change a copy
     a = [list(row) for row in a]
@@ -425,11 +445,12 @@ def _eliminate(live, cols, size, mod):
     """Elimination over F_p on packed rows of cols slots, each size bytes.
     The current column is always slot 0: each step shifts it out of every
     row and adds g = -h/pivot mod p (so 0 <= g < p) times the pivot row's
-    remaining slots, reduced, to each row with h in slot 0. Slots need not
-    be reduced: h and the pivot are reduced when read, and only the pivot
-    row is ever unpacked."""
+    remaining slots, reduced in place by ``_reduce_slots``, to each row with
+    h in slot 0. Other slots need not be reduced: h and the pivot are
+    reduced when read."""
     shift = 8 * size
     mask = (1 << shift) - 1
+    reduce = _reduce_slots(cols, size, mod)
     rank, sign, d = 0, 1, 1
     for c in range(cols):
         for i, row in enumerate(live):
@@ -444,7 +465,7 @@ def _eliminate(live, cols, size, mod):
             sign = -sign
         d = d * pivot % mod
         neg_inv = mod - pow(pivot, -1, mod)
-        top = _pack(_unpack(live[0] >> shift, cols - c - 1, size, mod), size, mod)
+        top = reduce(live[0] >> shift)
         live = [(row >> shift) + (neg_inv * (row & mask) % mod) * top for row in live[1:]]
         rank += 1
         if not live:

@@ -60,8 +60,8 @@ det                 | FAIL | FAIL | PASS* | FAIL  | PASS* | FAIL          | -   
 minors              | -    | FAIL | -     | -     | -     | -             | -             | -             | -     | -             | -
 _eliminate          | -    | -    | -     | -     | -     | FAIL          | PASS*         | FAIL          | PASS* | FAIL          | -
 det_multimodular    | -    | -    | -     | -     | -     | -             | -             | -             | -     | FAIL          | -
-_slot_bytes         | -    | -    | -     | -     | -     | OverflowError | OverflowError | OverflowError | PASS* | OverflowError | -
-_reduce_slots       | -    | -    | -     | -     | -     | -             | -             | FAIL          | -     | -             | -
+_slot_bytes         | -    | -    | -     | -     | -     | FAIL          | PASS*         | FAIL          | PASS* | FAIL          | -
+_reduce_slots       | -    | -    | -     | -     | -     | FAIL          | PASS*         | FAIL          | PASS* | FAIL          | -
 PrimeField.lift     | FAIL | FAIL | PASS* | PASS* | PASS* | FAIL          | PASS*         | FAIL          | PASS* | -             | -
 RationalDomain.lift | -    | -    | -     | -     | -     | -             | -             | -             | -     | FAIL          | PASS*
 _pack_rows          | -    | -    | -     | -     | -     | FAIL          | PASS*         | FAIL          | PASS* | FAIL          | -
@@ -106,10 +106,15 @@ def _eliminate(orig, live, cols, size, mod):
     return rank, 2 * d % mod
 
 
-def _reduce_slots(orig, packed, count, size, mod):
+def _reduce_slots(orig, count, size, mod):
     # slot 0 of every reduced int off by one mod p
-    low = (1 << 8 * size) - 1
-    return [x + 1 if x & low < mod - 1 else x - (mod - 1) for x in orig(packed, count, size, mod)]
+    reduce, low = orig(count, size, mod), (1 << 8 * size) - 1
+
+    def off_by_one(x):
+        x = reduce(x)
+        return x + 1 if x & low < mod - 1 else x - (mod - 1)
+
+    return off_by_one
 
 
 def _lift(orig, dom, xs):
@@ -142,7 +147,7 @@ FAULTS = dict(
         _wrapped("minors", _minors),
         _wrapped("_eliminate", _eliminate),
         _wrapped("det_multimodular", lambda orig, a, limit=None: orig(a, limit) + 1),
-        _wrapped("_slot_bytes", lambda orig, bound: orig(bound) - 1),
+        _wrapped("_slot_bytes", lambda orig, products, mod: orig(products, mod) - 1),
         _wrapped("_reduce_slots", _reduce_slots),
         _wrapped("PrimeField.lift", _lift),
         _wrapped("RationalDomain.lift", _lift),

@@ -8,7 +8,10 @@ path and ``sum_form``'s two Horner modes are checked against a Leibniz
 expansion and against f evaluated entry by entry, and ``det``'s routes on
 both sides of BAREISS_MAX_N against Bareiss over Z and elimination mod p.
 ``minors`` is checked against a Leibniz expansion of each combination.
-``_pack_rows`` is checked against ``_pack`` row by row. No public function
+``_pack_rows`` is checked against ``_pack`` row by row, ``_reduce_slots``
+against % p at its edges, every packed builder's slot size against its
+worst-case sum, and ``vandermonde`` against its differences one at a
+time. No public function
 may change its arguments, and ``det`` must hand rows from PACK_MIN on to
 the packed elimination uncopied."""
 
@@ -39,6 +42,15 @@ from oracles import leibniz_det
 
 # F_2 and F_3 are full of singular matrices; 2^61-1 needs the widest slots
 PRIMES = [2, 3, 101, 2**31 - 1, 2**61 - 1]
+
+# the packed elimination's moduli: primes small and wide, and "group", the
+# product of MULTIMODULAR_GROUP primes that det_multimodular hands det
+ELIMINATION_MODULI = [3, 2**31 - 1, 2**61 - 1, "group"]
+
+
+def _modulus(mod):
+    """mod, or the product of the first MULTIMODULAR_GROUP CRT primes for "group"."""
+    return math.prod(kernel._prime(i) for i in range(kernel.MULTIMODULAR_GROUP)) if mod == "group" else mod
 
 
 def rand_rows(rng, rows, cols, p):
@@ -164,23 +176,110 @@ def test_packed_sum_form_matches_horner(p, entries, packed):
             assert packed(kernel.sum_form_det, coeffs, a, ys, p) == det, (n, deg)
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", PRIMES + ["group"])
 def test_reduce_slots_matches_mod_p(p):
-    """_reduce_slots against % p slot by slot, in the slot sizes of the sum
-    form's products and one byte wider, on slots at 0, p - 1, p, the
-    largest value it takes, 2^(w-1) - 1, and the largest below it that is
-    p - 1 mod p, where the quotient estimate has the least room, in every
-    position and parity."""
+    """_reduce_slots against % p slot by slot, in the slot sizes of one
+    product and of 40 products and one byte wider, on slots at 0, p - 1, p,
+    2p, the largest value it takes, 2^(w-1) - 1, the largest multiple of p
+    below it and the largest below it that is p - 1 mod p, where the
+    quotient estimate has the least room, in every position and parity, and
+    on ints of fewer slots than the reducer was built for, as the
+    elimination's shrinking pivot rows are."""
+    p = _modulus(p)
     rng = random.Random(13 + p % 1000)
-    for size in (kernel._slot_bytes(2 * (p - 1) ** 2), kernel._slot_bytes(2 * 40 * (p - 1) ** 2 + p) + 1):
+    for size in (kernel._slot_bytes(1, p), kernel._slot_bytes(40, p) + 1):
         top = (1 << 8 * size - 1) - 1
-        edges = [0, p - 1, p, top, top - (top + 1) % p]
+        edges = [0, p - 1, p, 2 * p, top, top - top % p, top - (top + 1) % p]
         for count in (1, 2, 17):
-            slots = [[edges[(j + shift) % 5] for j in range(count)] for shift in range(5)]
+            reduce = kernel._reduce_slots(count, size, p)
+            slots = [[edges[(j + shift) % len(edges)] for j in range(count)] for shift in range(len(edges))]
+            slots += [[p * rng.randrange(top // p + 1) for _ in range(count)] for _ in range(2)]
             slots += [[rng.randrange(top + 1) for _ in range(count)] for _ in range(4)]
+            slots += [row[: rng.randrange(count)] for row in slots]
             packed = [sum(x << 8 * size * j for j, x in enumerate(row)) for row in slots]
             expected = [kernel._pack(row, size, p) for row in slots]
-            assert kernel._reduce_slots(packed, count, size, p) == expected, (size, count)
+            assert [reduce(x) for x in packed] == expected, (size, count)
+
+
+def _stairs(rng, rows, cols, p):
+    """rows x cols residues, row i led by a random number of zeros, so that
+    most steps of an elimination find their pivot below the first row."""
+    a = rand_rows(rng, rows, cols, p)
+    for row in a:
+        zeros = rng.randrange(cols)
+        row[:zeros] = [0] * zeros
+    return a
+
+
+@pytest.mark.parametrize("mod", ELIMINATION_MODULI)
+def test_packed_elimination_matches_entries(mod, both_echelons):
+    """echelon's packed route, whose pivot row _reduce_slots reduces in
+    place (_eliminate names neither _pack nor _unpack), against the
+    entry-by-entry route at PACK_MIN, 17 and 40 rows: with pivot swaps at
+    most steps, singular, and rectangular of a rank below both sides."""
+    assert not {"_pack", "_unpack"} & set(kernel._eliminate.__code__.co_names)
+    p = _modulus(mod)
+    rng = random.Random(23 + p % 1000)
+    for n in (kernel.PACK_MIN, 17, 40):
+        a = _stairs(rng, n, n, p)
+        singular = a[:-1] + [[(x + y) % p for x, y in zip(a[0], a[1])]]
+        cases = [(a, n), (singular, n - 1)]
+        for rows, cols in ((n, n + 5), (n + 5, n)):
+            left, right = rand_rows(rng, rows, n - 3, p), rand_rows(rng, n - 3, cols, p)
+            low = [[sum(map(mul, row, col)) % p for col in zip(*right)] for row in left]
+            cases.append((low, n - 3))
+        for rows, most in cases:
+            entries, packed = both_echelons(rows, p)
+            assert packed == entries, (n, len(rows), len(rows[0]))
+            assert packed[0] <= most
+
+
+@pytest.mark.parametrize("mod", ELIMINATION_MODULI)
+def test_packed_slots_keep_the_spare_top_bit(monkeypatch, mod):
+    """Every packed builder sizes its slots for its worst-case sum, k
+    products of residues plus one per elimination step and a residue,
+    (k + rows) (p-1)^2 + p, below 2^(w-1): echelon (k = 0), _product_packed
+    (k terms) and _pascal_packed (deg f + 1 terms, both products). And on
+    tables of the largest residues every int that _reduce_slots is given
+    keeps each slot below 2^(w-1), as its Barrett step needs."""
+    p = _modulus(mod)
+    rng = random.Random(29 + p % 1000)
+    sizes, eliminate, reduce_slots = [], kernel._eliminate, kernel._reduce_slots
+
+    def spy_eliminate(live, cols, size, mod):
+        sizes.append((len(live), size))
+        return eliminate(live, cols, size, mod)
+
+    def checked(count, size, mod):
+        reduce, w = reduce_slots(count, size, mod), 8 * size
+
+        def run(x):
+            for j in range(count):
+                assert x >> w * j & (1 << w) - 1 < 1 << w - 1, (j, size)
+            return reduce(x)
+
+        return run
+
+    monkeypatch.setattr(kernel, "_eliminate", spy_eliminate)
+    monkeypatch.setattr(kernel, "_reduce_slots", checked)
+
+    def big(rows, cols):
+        return [[p - 1 - rng.randrange(1 + p // 16) for _ in range(cols)] for _ in range(rows)]
+
+    for n in (kernel.PACK_MIN, 24):
+        cases = [(0, lambda: kernel.echelon(big(n, n), p))]
+        if is_prime(p):
+            for k in (1, n, 3 * n):
+                cases.append((k, lambda k=k: kernel.product_det(big(n, k), [p - 1] * k, big(n, k), p)))
+            for deg in (0, n // 2, n - 1):
+                coeffs = big(1, deg + 1)[0]
+                cases.append((deg + 1, lambda c=coeffs: kernel.sum_form_det(c, big(1, n)[0], big(1, n)[0], p)))
+        for k, run in cases:
+            sizes.clear()
+            run()
+            assert [rows for rows, _ in sizes] == [n], k
+            size = sizes[0][1]
+            assert (k + n) * (p - 1) ** 2 + p < 1 << 8 * size - 1, (n, k, size)
 
 
 def _no_pack(*args):
@@ -287,8 +386,7 @@ def test_no_public_kernel_function_changes_its_arguments(mod):
     BAREISS_MAX_N (Bareiss over Z, whatever the modulus), up to PACK_MIN - 1
     (elimination mod p entry by entry) and from PACK_MIN on (packed), square
     or rectangular for its rank, and singular."""
-    if mod == "group":
-        mod = math.prod(kernel._prime(i) for i in range(kernel.MULTIMODULAR_GROUP))
+    mod = _modulus(mod)
     rng = random.Random(41 + (mod or 0) % 1000)
     lo, hi = (-(2**20), 2**20) if mod is None else (0, mod)
 
@@ -329,15 +427,20 @@ def test_no_public_kernel_function_changes_its_arguments(mod):
 
 
 def test_vandermonde_grouped_differences_match_one_at_a_time():
+    """vandermonde against the product of its differences one at a time, for
+    n = 0..40 points over Z and five primes, drawn, with a repeated point and
+    with every point equal."""
     rng = random.Random(13)
-    for p in PRIMES:
-        for n in range(0, 12):
-            xs = [rng.randrange(p) for _ in range(n)]
-            acc = 1
-            for j in range(n):
-                for i in range(j):
-                    acc = acc * (xs[j] - xs[i]) % p
-            assert kernel.vandermonde(xs, p) == acc
+    for p in [None] + PRIMES:
+        for n in range(0, 41):
+            xs = [rng.randrange(p or 2**20) for _ in range(n)]
+            repeated = xs[:-1] + xs[n // 2 : n // 2 + 1]
+            for points in (xs, repeated, xs[:1] * n):
+                acc = 1
+                for j in range(n):
+                    for i in range(j):
+                        acc *= points[j] - points[i]
+                assert kernel.vandermonde(points, p) == (acc if p is None or n < 2 else acc % p), (p, n)
 
 
 @pytest.mark.parametrize("kind", ["homogeneous", "sum_form"])
