@@ -201,7 +201,10 @@ def det_borderline(p: HomogeneousPoly, pts: PointVectors) -> DetReport:
     n, k = pts.n, p.degree
     if n != k + 1:
         raise SizeMismatchError(f"borderline form needs n = k+1, got n={n}, k={k}")
-    return _closed_form(BORDERLINE, math.prod(p.coeffs, start=pts.domain.one), pts)
+    # one product of ints and one scalar, not k+1 products of scalars
+    dom = shared_domain(p, pts)
+    c, e = dom.lift(p.coeffs)
+    return _closed_form(BORDERLINE, dom.ratio(math.prod(c), e ** len(c)), pts)
 
 
 def _closed_form(method: str, coeff: Scalar, pts: PointVectors) -> DetReport:

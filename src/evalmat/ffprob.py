@@ -199,16 +199,6 @@ def _draw_batches(seed: int, n: int, p: int, trials: int):
         yield b, int.from_bytes(array("Q", words).tobytes(), "little")
 
 
-def _trial_draws(seed: int, n: int, p: int, trials: int):
-    """Yield each trial's 2n residues a_1..a_n, b_1..b_n: for trial t exactly
-    [trial_stream(seed, t).next_below(p) for _ in range(2n)], as lists read
-    out of _draw_batches' lanes."""
-    for b, residues in _draw_batches(seed, n, p, trials):
-        draws = _unlanes(residues, 2 * n * b)
-        for i in range(b):
-            yield draws[i::b]
-
-
 def _blocks(z: int, count: int, bits: int) -> list[int]:
     """The count blocks of bits bits that make up z, the lowest first, split
     in halves: each level of halving copies z once, where a shift per block

@@ -47,11 +47,14 @@ of one array of 64-bit words: W's columns in ``product``, Y's power
 columns in ``sum_form`` and ``echelon``'s rows. ``_pack``, one
 ``to_bytes`` per entry, serves only its fallback: every row of a table
 with any other entry, which it reduces. Packing and unpacking cost a few
-interpreted operations per entry, which an n x n matrix pays back only
-from about PACK_MIN rows on. Below that the
-entry-by-entry code runs (every ffprob trial's entries, and elimination
-mod p past ``det``'s BAREISS_MAX_N rows); it stays the reference the
-packed code is tested against.
+interpreted operations per entry, which a builder's n x n table pays back
+only from about PACK_MIN rows on; below that ``product`` and ``sum_form``
+build entry by entry (every ffprob trial's entries). PACK_MIN gates only
+these builders and their ``_det`` forms. Elimination mod p packs at every
+size: past ``det``'s BAREISS_MAX_N rows it beats an entry-by-entry loop
+but for the smallest moduli (CHANGES.md), and below them only
+``matrix.rank`` reaches it. The entry-by-entry elimination mod p that it is
+tested against is ``echelon_mod_p`` in tests/oracles.py.
 
 Multimodular determinant over Z. Bareiss' intermediate integers are the
 leading minors of the matrix, so its cost follows their size, not only
@@ -113,8 +116,9 @@ from operator import mul
 
 from .scalar import is_prime
 
-# the F_p kernels pack rows from this many rows (and columns) on; see the
-# crossover table in CHANGES.md
+# the F_p builders (product, product_det, sum_form, sum_form_det) pack
+# their rows from this many rows (and columns) on; see the crossover table
+# in CHANGES.md. Elimination mod p packs at every size
 PACK_MIN = 16
 
 # product_det and sum_form_det eliminate an integer image of n rows over Z
@@ -401,15 +405,16 @@ def h_table(xs: list[int], m: int, mod: int | None = None) -> list[int]:
 
 
 def echelon(a: list[list[int]], mod: int | None = None) -> tuple[int, int]:
-    """Row echelon form of a, column by column: fraction-free (Bareiss) over
-    Z, where each division is exact by Sylvester's identity, and with the
-    pivot inverse pow(x, -1, p) over F_p, on rows packed in slots wide
-    enough for len(a) steps from PACK_MIN rows and columns on. Returns the
-    rank and, for a square matrix of full rank, its determinant."""
-    if len(a) >= PACK_MIN and len(a[0]) >= PACK_MIN and mod is not None:
+    """Row echelon form of a, column by column. Over F_p, ``_eliminate`` on
+    a's rows packed in slots wide enough for len(a) steps, with the pivot
+    inverse pow(x, -1, p), at every shape; over Z, fraction-free (Bareiss)
+    on a copy of a, where each division is exact by Sylvester's identity.
+    Returns the rank and, for a square matrix of full rank, its
+    determinant; (0, 1) for no rows or no columns."""
+    if mod is not None:
         size = _slot_bytes(len(a), mod)
-        return _eliminate(_pack_rows(a, size, mod), len(a[0]), size, mod)
-    # the packed route only reads a's rows; these routes change a copy
+        return _eliminate(_pack_rows(a, size, mod), len(a[0]) if a else 0, size, mod)
+    # the packed route only reads a's rows; Bareiss changes a copy
     a = [list(row) for row in a]
     rank, sign, prev, d = 0, 1, 1, 1
     for c in range(len(a[0]) if a else 0):
@@ -423,22 +428,13 @@ def echelon(a: list[list[int]], mod: int | None = None) -> tuple[int, int]:
             sign = -sign
         top = a[rank]
         pivot = top[c]
-        if mod is None:
-            for row in a[rank + 1 :]:
-                f = row[c]
-                for j in range(c + 1, len(top)):
-                    row[j] = (pivot * row[j] - f * top[j]) // prev
-            prev = d = pivot
-        else:
-            d = d * pivot % mod
-            inv = pow(pivot, -1, mod)
-            for row in a[rank + 1 :]:
-                f = row[c] * inv % mod
-                if f:
-                    for j in range(c + 1, len(top)):
-                        row[j] = (row[j] - f * top[j]) % mod
+        for row in a[rank + 1 :]:
+            f = row[c]
+            for j in range(c + 1, len(top)):
+                row[j] = (pivot * row[j] - f * top[j]) // prev
+        prev = d = pivot
         rank += 1
-    return rank, sign * d if mod is None else sign * d % mod
+    return rank, sign * d
 
 
 def _eliminate(live, cols, size, mod):
@@ -477,7 +473,9 @@ def det(a: list[list[int]], mod: int | None = None) -> int:
     """Determinant of a square matrix by the route its row count picks: 1 to
     4 rows by cofactors, 0 and 5 to BAREISS_MAX_N by Bareiss, both over Z
     and reduced mod ``mod`` once, which is exact for any modulus
-    (det_multimodular's prime products too); more by ``echelon`` mod ``mod``."""
+    (det_multimodular's prime products too); more by ``echelon``'s packed
+    elimination mod ``mod``, a prime or such a product, where a pivot that
+    is no unit mod ``mod`` raises ValueError."""
     if 0 < len(a) <= 4:
         d = _cofactor_det(a)
     else:

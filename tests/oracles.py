@@ -24,6 +24,46 @@ def leibniz_det(rows):
     return total
 
 
+def echelon_mod_p(rows, p):
+    """(rank, det) of rows mod p by Gaussian elimination entry by entry, the
+    F_p reference for kernel.echelon and kernel.det: no packing and no
+    kernel code. p is a prime, or a product of primes as det_multimodular
+    hands kernel.det, where a pivot that is no unit raises ValueError.
+
+    The conventions are kernel.echelon's: column by column, the pivot is the
+    first row at or below the rank with a nonzero entry, a row swap negates
+    the sign, and the second value is the signed product of the pivots mod
+    p, which is the determinant for a square matrix of full rank; no rows or
+    no columns give (0, 1)."""
+    a = [[x % p for x in row] for row in rows]
+    rank, sign, d = 0, 1, 1
+    for c in range(len(a[0]) if a else 0):
+        for i in range(rank, len(a)):
+            if a[i][c]:
+                break
+        else:
+            continue
+        if i != rank:
+            a[rank], a[i] = a[i], a[rank]
+            sign = -sign
+        top = a[rank]
+        d = d * top[c] % p
+        inv = pow(top[c], -1, p)
+        for row in a[rank + 1 :]:
+            f = row[c] * inv % p
+            if f:
+                for j in range(c + 1, len(top)):
+                    row[j] = (row[j] - f * top[j]) % p
+        rank += 1
+    return rank, sign * d % p
+
+
+def det_mod_p(rows, p):
+    """det of a square matrix mod p, by echelon_mod_p."""
+    rank, d = echelon_mod_p(rows, p)
+    return d if rank == len(rows) else 0
+
+
 def _perm_sign(perm):
     sign = 1
     seen = [False] * len(perm)

@@ -15,8 +15,8 @@ rule there rather than the exception.
 
 A third test runs both routes past the harness' sizes, where kernel.det
 eliminates: by Bareiss over Z at 5 and 8 rows, and at 9 and 10 over Q,
-and by elimination mod p past kernel.BAREISS_MAX_N at 9 and 10 rows over
-F_101. Each route takes every minor's rows from tables built once per
+and by the packed elimination mod p past kernel.BAREISS_MAX_N at 9 and 10
+rows over F_101. Each route takes every minor's rows from tables built once per
 expansion, so a table row that one minor's elimination changed would
 corrupt the later terms that read it.
 

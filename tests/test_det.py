@@ -50,9 +50,17 @@ from evalmat.poly import (
     alternating_poly,
     sum_power_poly,
 )
-from evalmat.scalar import RATIONAL, PrimeField, SingularChangeError, SizeMismatchError, binomial
+from evalmat.scalar import (
+    RATIONAL,
+    DomainMismatchError,
+    FpElement,
+    PrimeField,
+    SingularChangeError,
+    SizeMismatchError,
+    binomial,
+)
 
-from oracles import leibniz_det
+from oracles import det_mod_p, leibniz_det
 
 F101 = PrimeField(101)
 
@@ -157,6 +165,22 @@ def test_borderline_zero_cases():
 def test_borderline_size_mismatch():
     with pytest.raises(SizeMismatchError):
         det_borderline(sum_power_poly(2), PointVectors([0, 1], [0, 1]))
+
+
+def test_borderline_coefficient_product_and_domains():
+    """coeff_product is the product of the coefficients as one scalar of
+    the instance's domain, over Q with unequal denominators and over F_p,
+    and a polynomial and points of different domains raise
+    DomainMismatchError."""
+    f7, f11 = PrimeField(7), PrimeField(11)
+    coeffs = [Fraction(3, 4), Fraction(-5, 6), Fraction(7, 9)]
+    rep = det_borderline(HomogeneousPoly(2, coeffs), PointVectors([0, 1, 2], [1, 3, 4]))
+    assert type(rep.coeff_product) is Fraction and rep.coeff_product == Fraction(-35, 72)
+    rep = det_borderline(HomogeneousPoly(2, [3, 5, 6], f7), PointVectors([0, 1, 2], [1, 3, 4], f7))
+    assert type(rep.coeff_product) is FpElement and rep.coeff_product == f7.from_int(90)
+    for poly_dom, pts_dom in ((RATIONAL, f7), (f7, RATIONAL), (f7, f11)):
+        with pytest.raises(DomainMismatchError):
+            det_borderline(HomogeneousPoly(1, [1, 2], poly_dom), PointVectors([0, 1], [2, 3], pts_dom))
 
 
 def test_borderline_factor_identity():
@@ -659,7 +683,8 @@ def test_oracle_matches_leibniz_on_evaluated_entries(field, data):
 @pytest.mark.parametrize("n", [15, 16, 18, 20])
 def test_oracle_matches_bareiss_of_evaluation_matrix(field, n):
     # both sides of kernel.PACK_MIN = 16, borderline and n <= k; distinct
-    # points and nonzero coefficients keep every determinant nonzero
+    # points and nonzero coefficients keep every determinant nonzero. Over
+    # F_p the matrix is also eliminated entry by entry by the oracle
     rng = random.Random(1000 + n)
     dom = field or RATIONAL
 
@@ -674,7 +699,10 @@ def test_oracle_matches_bareiss_of_evaluation_matrix(field, n):
     for k in (n - 1, n + 3):
         for p in (HomogeneousPoly(k, vec(k + 1), dom), UnivariatePoly(vec(k + 1), dom)):
             value = oracle_det(p, pts).value
-            assert value == bareiss_det(evaluation_matrix(p, pts)) and value != 0
+            matrix = evaluation_matrix(p, pts)
+            assert value == bareiss_det(matrix) and value != 0
+            if field is not None:
+                assert value.value == det_mod_p([[x.value for x in row] for row in matrix.entries], field.p)
 
 
 def test_oracle_builds_no_dense_matrix(monkeypatch):

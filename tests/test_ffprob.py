@@ -11,11 +11,11 @@ from evalmat.ffprob import (
     CSV_HEADER,
     DRAW_BATCH,
     _det_is_zero,
+    _draw_batches,
     _Lanes,
     _lanes,
     _rejection_threshold,
     _repeat_free,
-    _trial_draws,
     _unlanes,
     ExperimentConfig,
     SplitMix64,
@@ -28,7 +28,7 @@ from evalmat.ffprob import (
     trial_stream,
 )
 
-from oracles import leibniz_det
+from oracles import echelon_mod_p, leibniz_det
 
 
 def test_sz_bound_examples():
@@ -241,6 +241,15 @@ def test_seeded_results_pinned():
     ]
 
 
+def _trial_draws(seed, n, p, trials):
+    """Each trial's 2n residues a_1..a_n, b_1..b_n, as lists read out of
+    _draw_batches' lanes: draw j of a batch's trial i is in lane j * b + i."""
+    for b, residues in _draw_batches(seed, n, p, trials):
+        draws = _unlanes(residues, 2 * n * b)
+        for i in range(b):
+            yield draws[i::b]
+
+
 @pytest.mark.parametrize("p", [2, 3, 7, 101, P31, P61])
 def test_trial_draws_equal_public_stream(p):
     for seed in (0, 1, 99, 2**64 + 5, -3):
@@ -283,13 +292,12 @@ def _leibniz_is_zero(coeffs, a, b, p):
 
 
 def _elimination_is_zero(coeffs, a, b, p):
-    """The zero of det [f(a_r + b_s)] mod p by its rank under elimination
-    mod p, on entries from f's values mod p: no kernel.sum_form, no
-    kernel.det."""
+    """The zero of det [f(a_r + b_s)] mod p by its rank under the oracle's
+    elimination mod p, on entries from f's values mod p: no kernel code."""
     def f(t):
         return sum(c * pow(t, i, p) for i, c in enumerate(coeffs)) % p
 
-    return kernel.echelon([[f(x + y) for y in b] for x in a], p)[0] < len(a)
+    return echelon_mod_p([[f(x + y) for y in b] for x in a], p)[0] < len(a)
 
 
 @st.composite
@@ -370,8 +378,8 @@ def test_cofactor_route_exhaustive(p, n, coeffs, distinct):
     (6,561, all with a repeated point, so all zero) decides the zero as
     elimination mod p does; so does every pair without a repeated point of
     F_5 at n = 4 (14,400). _det_is_zero runs kernel.det's cofactor
-    expansion at these n; the reference is the rank under elimination mod p
-    of entries read from a table of f mod p."""
+    expansion at these n; the reference is the rank under the oracle's
+    elimination mod p of entries read from a table of f mod p."""
     cfg = ExperimentConfig(modulus=p, n=n, coeffs=coeffs, trials=1, seed=0)
     f = [sum(c * t**i for i, c in enumerate(coeffs)) % p for t in range(2 * p - 1)]
     if distinct:
@@ -381,7 +389,7 @@ def test_cofactor_route_exhaustive(p, n, coeffs, distinct):
     zeros = 0
     for a in points:
         for b in points:
-            expected = kernel.echelon([[f[x + y] for y in b] for x in a], p)[0] < n
+            expected = echelon_mod_p([[f[x + y] for y in b] for x in a], p)[0] < n
             assert _det_is_zero(cfg, a, b) == expected, (a, b)
             zeros += expected
     assert (zeros == len(points) ** 2) == (n > p)

@@ -27,16 +27,17 @@ from evalmat.matrix import PointVectors
 from evalmat.poly import HomogeneousPoly
 from evalmat.scalar import PrimeField
 
-from oracles import h_brute, leibniz_det
+from oracles import det_mod_p, h_brute, leibniz_det
 
 P31 = 2**31 - 1
 
 
 def full_jacobi_trudi(exps, hs, mod):
-    """The n x n matrix [H_{e_i - n + 1 + j}], eliminated whole."""
+    """The n x n matrix [H_{e_i - n + 1 + j}], eliminated whole: by
+    kernel.det over Z, and by the oracle's elimination entry by entry mod p."""
     n = len(exps)
     rows = [[hs[d] if d >= 0 else 0 for d in range(e - n + 1, e + 1)] for e in exps]
-    return kernel.det(rows, mod)
+    return kernel.det(rows) if mod is None else det_mod_p(rows, mod)
 
 
 def exponents_of_length(rng, n, length, top=4):
@@ -48,7 +49,7 @@ def exponents_of_length(rng, n, length, top=4):
 
 
 def lengths(n):
-    return sorted({x for x in (0, 1, kernel.PACK_MIN - 1, kernel.PACK_MIN, n) if x <= n})
+    return sorted({x for x in (0, 1, kernel.BAREISS_MAX_N, kernel.BAREISS_MAX_N + 1, n) if x <= n})
 
 
 @pytest.fixture
@@ -68,8 +69,9 @@ def h_depths(monkeypatch):
 @pytest.mark.parametrize("mod", [None, P31])
 @pytest.mark.parametrize("n", [1, 2, 5, 15, 16, 17, 24])
 def test_truncated_jacobi_trudi_equals_full_matrix(mod, n):
-    # l(lam) at 0, 1, either side of PACK_MIN and n, so the block meets both
-    # the entry-by-entry and the packed elimination over F_p
+    # l(lam) at 0, 1, either side of BAREISS_MAX_N and n, so the block meets
+    # kernel.det's cofactors, its Bareiss over Z and, over F_p, its packed
+    # elimination, each held to the whole matrix
     rng = random.Random(500 + n + (mod or 0) % 97)
     for length in lengths(n):
         for _ in range(3):

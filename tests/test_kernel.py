@@ -1,19 +1,22 @@
-"""The packed-row F_p kernels against the entry-by-entry code they replace
-from PACK_MIN rows on. The public functions are called with packing taken
-at every size and with packing switched off, so both routes run at every
-size; the public tests check the dispatch around PACK_MIN against the
-closed forms. The multimodular determinant over Z is checked against
-Bareiss, and its grouped moduli against the primes one at a time. ``det``'s cofactor
-path and ``sum_form``'s two Horner modes are checked against a Leibniz
-expansion and against f evaluated entry by entry, and ``det``'s routes on
-both sides of BAREISS_MAX_N against Bareiss over Z and elimination mod p.
-``minors`` is checked against a Leibniz expansion of each combination.
-``_pack_rows`` is checked against ``_pack`` row by row, ``_reduce_slots``
-against % p at its edges, every packed builder's slot size against its
-worst-case sum, and ``vandermonde`` against its differences one at a
-time. No public function
-may change its arguments, and ``det`` must hand rows from PACK_MIN on to
-the packed elimination uncopied."""
+"""The packed-row F_p kernels against entry-by-entry references.
+``echelon`` and ``det`` mod p, which pack at every size, are checked
+against ``echelon_mod_p``, the entry-by-entry elimination of
+tests/oracles.py, which is itself held to a Leibniz expansion. The builders
+(``product``, ``sum_form`` and their ``_det`` forms) are called with
+packing taken at every size and with packing switched off, so both of
+their routes run at every size; the public tests check their dispatch
+around PACK_MIN against the closed forms. The multimodular determinant over
+Z is checked against Bareiss, and its grouped moduli against the primes one
+at a time. ``det``'s cofactor path and ``sum_form``'s two Horner modes are
+checked against a Leibniz expansion and against f evaluated entry by entry,
+and ``det``'s routes on both sides of BAREISS_MAX_N against Bareiss over Z
+and elimination mod p. ``minors`` is checked against a Leibniz expansion of
+each combination. ``_pack_rows`` is checked against ``_pack`` row by row,
+``_reduce_slots`` against % p at its edges, every packed builder's slot
+size against its worst-case sum, and ``vandermonde`` against its
+differences one at a time. No public function may change its arguments,
+and ``det`` must hand rows past BAREISS_MAX_N to the packed elimination
+uncopied."""
 
 import copy
 import hashlib
@@ -38,7 +41,7 @@ from evalmat.matrix import PointVectors, bareiss_det, evaluation_image, evaluati
 from evalmat.poly import HomogeneousPoly, UnivariatePoly
 from evalmat.scalar import PrimeField, is_prime
 
-from oracles import leibniz_det
+from oracles import det_mod_p, echelon_mod_p, leibniz_det
 
 # F_2 and F_3 are full of singular matrices; 2^61-1 needs the widest slots
 PRIMES = [2, 3, 101, 2**31 - 1, 2**61 - 1]
@@ -68,36 +71,57 @@ def _with_pack_min(monkeypatch, value):
 
 @pytest.fixture
 def entries(monkeypatch):
-    """Call a kernel with the packed routes switched off."""
+    """Call a kernel with the packed builders switched off."""
     return _with_pack_min(monkeypatch, 10**9)
 
 
 @pytest.fixture
 def packed(monkeypatch):
-    """Call a kernel with the packed routes taken at every size."""
+    """Call a kernel with the packed builders taken at every size."""
     return _with_pack_min(monkeypatch, 1)
 
 
-@pytest.fixture
-def both_echelons(entries, packed):
-    def run(a, p):
-        return entries(kernel.echelon, a, p), packed(kernel.echelon, a, p)
-
-    return run
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_echelon_mod_p_oracle_matches_leibniz(data):
+    """The oracle against a Leibniz expansion mod p: on 0 to 6 rows its
+    determinant is det mod p, and its rank is full exactly where that is
+    nonzero; on rectangular tables up to 4 x 6 either way its rank is the
+    size of the largest minor that is nonzero mod p. Entries are negative,
+    past p or at its edges, and small primes make singular tables common."""
+    p = data.draw(st.sampled_from([2, 3, 101, 2**61 - 1]), label="p")
+    entry = st.sampled_from([0, 1, p - 1, p]) | st.integers(-2 * p, 2 * p)
+    n = data.draw(st.integers(0, 6), label="n")
+    a = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    expected = leibniz_det(a) % p
+    rank, d = echelon_mod_p(a, p)
+    assert det_mod_p(a, p) == expected
+    assert (rank == n) == (expected != 0) and (rank < n or d == expected)
+    rows, cols = data.draw(st.integers(0, 4), label="rows"), data.draw(st.integers(0, 6), label="cols")
+    if data.draw(st.booleans(), label="tall"):
+        rows, cols = cols, rows
+    t = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    largest = max(
+        r
+        for r in range(min(rows, cols) + 1)
+        for i in itertools.combinations(range(rows), r)
+        for j in itertools.combinations(range(cols), r)
+        if leibniz_det([[t[x][y] for y in j] for x in i]) % p
+    )
+    assert echelon_mod_p(t, p)[0] == largest
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_packed_echelon_matches_entries_square_and_rectangular(p, both_echelons):
+def test_packed_echelon_matches_entries_square_and_rectangular(p):
     rng = random.Random(p % 1000)
     for n in range(1, 41):
         for cols in {n, n + 3, max(1, n - 4)}:
             a = rand_rows(rng, n, cols, p)
-            entries, packed = both_echelons(a, p)
-            assert packed == entries, (n, cols)
+            assert kernel.echelon(a, p) == echelon_mod_p(a, p), (n, cols)
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_packed_echelon_repeated_rows_and_zero_columns(p, both_echelons):
+def test_packed_echelon_repeated_rows_and_zero_columns(p):
     rng = random.Random(7 + p % 1000)
     for n in (2, 5, 16, 17, 31, 40):
         a = rand_rows(rng, n, n, p)
@@ -106,25 +130,38 @@ def test_packed_echelon_repeated_rows_and_zero_columns(p, both_echelons):
         for row in a:
             row[n // 3] = 0
             row[-1] = 0
-        entries, packed = both_echelons(a, p)
-        assert packed == entries
-        assert packed[0] < n
+        echelon = kernel.echelon(a, p)
+        assert echelon == echelon_mod_p(a, p)
+        assert echelon[0] < n
         assert kernel.det([row[:] for row in a], p) == 0
         # all-zero and rank-one matrices
-        assert both_echelons([[0] * n for _ in range(n)], p) == ((0, 1), (0, 1))
+        zero = [[0] * n for _ in range(n)]
+        assert kernel.echelon(zero, p) == echelon_mod_p(zero, p) == (0, 1)
         one = [rng.randrange(p) for _ in range(n)]
-        entries, packed = both_echelons([[x * c % p for x in one] for c in range(1, n + 1)], p)
-        assert packed == entries and packed[0] == (1 if any(one) else 0)
+        rank_one = [[x * c % p for x in one] for c in range(1, n + 1)]
+        echelon = kernel.echelon(rank_one, p)
+        assert echelon == echelon_mod_p(rank_one, p) and echelon[0] == (1 if any(one) else 0)
 
 
-def test_echelon_dispatches_on_pack_min(entries):
+@pytest.mark.parametrize("mod", [2**31 - 1, "group"])
+def test_echelon_packs_at_every_size(monkeypatch, mod):
+    """echelon mod a prime or a product of MULTIMODULAR_GROUP primes packs
+    its rows themselves by one _pack_rows call at every size: 0, 1, 3,
+    BAREISS_MAX_N, BAREISS_MAX_N + 1, PACK_MIN - 1 and PACK_MIN rows,
+    square, wider and taller, and gives the oracle's rank and determinant.
+    No rows or no columns give (0, 1), and det of no rows is 1."""
+    p = _modulus(mod)
     rng = random.Random(11)
-    p = 2**31 - 1
-    for n in (kernel.PACK_MIN - 1, kernel.PACK_MIN, 40):
-        a = rand_rows(rng, n, n, p)
-        assert kernel.echelon([row[:] for row in a], p) == entries(kernel.echelon, a, p)
-        wide = rand_rows(rng, n, n + 5, p)
-        assert kernel.echelon([row[:] for row in wide], p) == entries(kernel.echelon, wide, p)
+    calls, pack_rows = [], kernel._pack_rows
+    monkeypatch.setattr(kernel, "_pack_rows", lambda rows, size, m: calls.append(rows) or pack_rows(rows, size, m))
+    assert kernel.echelon([], p) == kernel.echelon([[], []], p) == (0, 1)
+    assert kernel.det([], p) == 1
+    for n in (0, 1, 3, kernel.BAREISS_MAX_N, kernel.BAREISS_MAX_N + 1, kernel.PACK_MIN - 1, kernel.PACK_MIN):
+        for rows, cols in ((n, n), (n, n + 3), (n + 3, n)):
+            a = rand_rows(rng, rows, cols, p)
+            calls.clear()
+            assert kernel.echelon(a, p) == echelon_mod_p(a, p), (rows, cols)
+            assert len(calls) == 1 and calls[0] is a, (rows, cols)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -146,7 +183,7 @@ def test_packed_product_matches_entries(p, entries, packed):
         # every term near (p-1)^2, which fills the product's slots
         big = [[p - 1 - rng.randrange(1 + p // 16) for _ in range(k)] for _ in range(2 * n)]
         for rows, diag, cols in ((v, c, w), (v[:-1] + v[:1], c, w), (big[:n], [1] * k, big[n:])):
-            expected = entries(kernel.det, entries(kernel.product, rows, diag, cols, p), p)
+            expected = det_mod_p(entries(kernel.product, rows, diag, cols, p), p)
             assert kernel.product_det(rows, diag, cols, p) == expected, (n, k)
             assert packed(kernel.product_det, rows, diag, cols, p) == expected, (n, k)
 
@@ -171,7 +208,7 @@ def test_packed_sum_form_matches_horner(p, entries, packed):
         assert kernel.sum_form(coeffs, xs, ys, p) == expected
         # as drawn, then with a repeated point
         for a in (xs, xs[:-1] + xs[:1]):
-            det = entries(kernel.det, entries(kernel.sum_form, coeffs, a, ys, p), p)
+            det = det_mod_p(entries(kernel.sum_form, coeffs, a, ys, p), p)
             assert kernel.sum_form_det(coeffs, a, ys, p) == det, (n, deg)
             assert packed(kernel.sum_form_det, coeffs, a, ys, p) == det, (n, deg)
 
@@ -212,10 +249,10 @@ def _stairs(rng, rows, cols, p):
 
 
 @pytest.mark.parametrize("mod", ELIMINATION_MODULI)
-def test_packed_elimination_matches_entries(mod, both_echelons):
-    """echelon's packed route, whose pivot row _reduce_slots reduces in
-    place (_eliminate names neither _pack nor _unpack), against the
-    entry-by-entry route at PACK_MIN, 17 and 40 rows: with pivot swaps at
+def test_packed_elimination_matches_entries(mod):
+    """echelon's packed elimination, whose pivot row _reduce_slots reduces
+    in place (_eliminate names neither _pack nor _unpack), against the
+    entry-by-entry oracle at PACK_MIN, 17 and 40 rows: with pivot swaps at
     most steps, singular, and rectangular of a rank below both sides."""
     assert not {"_pack", "_unpack"} & set(kernel._eliminate.__code__.co_names)
     p = _modulus(mod)
@@ -229,9 +266,9 @@ def test_packed_elimination_matches_entries(mod, both_echelons):
             low = [[sum(map(mul, row, col)) % p for col in zip(*right)] for row in left]
             cases.append((low, n - 3))
         for rows, most in cases:
-            entries, packed = both_echelons(rows, p)
-            assert packed == entries, (n, len(rows), len(rows[0]))
-            assert packed[0] <= most
+            echelon = kernel.echelon(rows, p)
+            assert echelon == echelon_mod_p(rows, p), (n, len(rows), len(rows[0]))
+            assert echelon[0] <= most
 
 
 @pytest.mark.parametrize("mod", ELIMINATION_MODULI)
@@ -332,9 +369,9 @@ def test_pack_rows_raises_as_pack_on_a_residue_wider_than_its_slot():
 @pytest.mark.parametrize("mod", [None] + PRIMES)
 def test_det_rows_matches_det_and_keeps_its_rows(monkeypatch, mod):
     """det on rows given as tuples or lists, also singular, equals det on
-    list copies over Z and F_p, at cofactor, Bareiss and elimination sizes
-    and on both sides of PACK_MIN, and leaves its rows as they are. Over F_p
-    from PACK_MIN rows on, the packed elimination packs the rows themselves,
+    list copies over Z and the oracle over F_p, at cofactor, Bareiss and
+    elimination sizes, and leaves its rows as they are. Over F_p past
+    BAREISS_MAX_N rows, the packed elimination packs the rows themselves,
     uncopied."""
     rng = random.Random(17 + (mod or 0) % 1000)
     calls, pack_rows = [], kernel._pack_rows
@@ -345,17 +382,17 @@ def test_det_rows_matches_det_and_keeps_its_rows(monkeypatch, mod):
         singular = a[:-1] + [a[0]]
         for rows in (a, [tuple(row) for row in a], singular):
             before = copy.deepcopy(rows)
-            expected = kernel.det([list(row) for row in rows], mod)
+            expected = kernel.det([list(row) for row in rows]) if mod is None else det_mod_p(rows, mod)
             calls.clear()
             assert kernel.det(rows, mod) == expected, n
             assert rows == before
-            assert [given is rows for given in calls] == ([True] if mod is not None and n >= kernel.PACK_MIN else [])
+            assert [given is rows for given in calls] == ([True] if mod is not None and n > kernel.BAREISS_MAX_N else [])
 
 
 def test_direct_minors_reach_the_packed_elimination_uncopied(monkeypatch):
-    """DIRECT's minors from PACK_MIN rows on are packed from the tuples of
-    V^T and W^T themselves, one _pack_rows call per minor, and give the
-    oracle's value."""
+    """DIRECT's minors past BAREISS_MAX_N rows (here PACK_MIN) are packed
+    from the tuples of V^T and W^T themselves, one _pack_rows call per
+    minor, and give the oracle's value."""
     field = PrimeField(2**31 - 1)
     n = kernel.PACK_MIN
     rng = random.Random(19)
@@ -381,11 +418,12 @@ ARG_MODULI = [None, 2**31 - 1, "group"]
 @pytest.mark.parametrize("mod", ARG_MODULI)
 def test_no_public_kernel_function_changes_its_arguments(mod):
     """Each public kernel function leaves its arguments as they are, and
-    gives on them the value it gives on list copies. det and echelon take
-    list and tuple rows on every route: 0 rows, 1 to 4 (cofactors), 5 to
-    BAREISS_MAX_N (Bareiss over Z, whatever the modulus), up to PACK_MIN - 1
-    (elimination mod p entry by entry) and from PACK_MIN on (packed), square
-    or rectangular for its rank, and singular."""
+    gives on them the value it gives on list copies, which for det and
+    echelon with a modulus is the oracle's. det and echelon take list and
+    tuple rows on every route: 0 rows, 1 to 4 (cofactors), 5 to
+    BAREISS_MAX_N (Bareiss over Z, whatever the modulus) and above it (the
+    packed elimination mod p, which echelon takes at every size), square or
+    rectangular for its rank, and singular."""
     mod = _modulus(mod)
     rng = random.Random(41 + (mod or 0) % 1000)
     lo, hi = (-(2**20), 2**20) if mod is None else (0, mod)
@@ -424,6 +462,10 @@ def test_no_public_kernel_function_changes_its_arguments(mod):
         value = fn(*args)
         assert args == before, fn.__name__
         assert value == fn(*_lists(before)), fn.__name__
+        if mod is not None and fn is kernel.det:
+            assert value == det_mod_p(before[0], mod)
+        if mod is not None and fn is kernel.echelon:
+            assert value == echelon_mod_p(before[0], mod)
 
 
 def test_vandermonde_grouped_differences_match_one_at_a_time():
@@ -464,7 +506,7 @@ def test_public_det_around_pack_min(kind, entries):
         value = bareiss_det(matrix)
         assert value == closed
         assert entries(evaluation_matrix, poly, pts) == matrix
-        assert entries(bareiss_det, matrix) == value
+        assert det_mod_p([[x.value for x in row] for row in matrix.entries], field.p) == value.value
 
 
 @pytest.mark.parametrize("mod", [None, 101, 2**31 - 1])
@@ -631,9 +673,9 @@ def test_multimodular_redoes_a_group_prime_by_prime(monkeypatch):
 def test_multimodular_small_primes_match_bareiss(data):
     # with the moduli 3 * 5 * 7 * 11, 13 * 17 * 19 * 23, ... non-unit
     # pivots are frequent where det eliminates mod q, past BAREISS_MAX_N
-    # rows and on both sides of PACK_MIN; every one must fall back to the
-    # primes, exactly. At 1, 2, 3, 5 and 8 rows det takes no inverse
-    # (cofactors, Bareiss over Z), so no group falls back there
+    # rows; every one must fall back to the primes, exactly. At 1, 2, 3, 5
+    # and 8 rows det takes no inverse (cofactors, Bareiss over Z), so no
+    # group falls back there
     n = data.draw(st.sampled_from([1, 2, 3, 5, 8, kernel.PACK_MIN - 1, kernel.PACK_MIN + 2]))
     bits = data.draw(st.sampled_from([1, 4, 16]))
     kind = data.draw(st.sampled_from(["random", "rank-deficient", "zero row"]))
@@ -732,7 +774,7 @@ def test_image_det_takes_crt_by_image_size_over_z(monkeypatch, patch):
                 assert crt == ([(n, True)] if takes_crt else []), (fused.__name__, n, threshold)
                 assert limits == [n] if takes_crt else len(limits) <= (n > kernel.BAREISS_MAX_N)
             for p in (101, 2**31 - 1):
-                assert fused(*args, p) == kernel.det(build(*args, p), p), (fused.__name__, n, p)
+                assert fused(*args, p) == det_mod_p(build(*args, p), p), (fused.__name__, n, p)
             assert len(crt) == takes_crt and len(limits) <= (n > kernel.BAREISS_MAX_N), (fused.__name__, n)
     assert routes == {False, True}
 

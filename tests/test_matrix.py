@@ -23,7 +23,7 @@ from evalmat.matrix import (
 from evalmat.poly import HomogeneousPoly, UnivariatePoly, sum_power_poly
 from evalmat.scalar import RATIONAL, PrimeField, binomial
 
-from oracles import leibniz_det
+from oracles import echelon_mod_p, leibniz_det
 
 F101 = PrimeField(101)
 
@@ -170,6 +170,23 @@ def test_rank_bounded_by_degree():
 def test_rank_fp():
     rows = [[F101.from_int(v) for v in r] for r in ([1, 2, 3], [2, 4, 6], [0, 0, 5])]
     assert rank(DenseMatrix(rows, F101)) == 2
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 2**61 - 1])
+def test_rank_fp_matches_the_oracle(p):
+    """rank over F_p at 1 to 8 rows, square, wider and taller, on drawn
+    rows, with a repeated row and of rank at most one, equals the rank by
+    the oracle's elimination entry by entry: at these sizes only rank
+    reaches the kernel's elimination mod p."""
+    field = PrimeField(p)
+    rng = random.Random(37 + p % 1000)
+    for n in range(1, 9):
+        for cols in (n, n + 2, max(1, n - 2)):
+            drawn = [[rng.randrange(p) for _ in range(cols)] for _ in range(n)]
+            rank_one = [[x * c % p for x in drawn[0]] for c in range(n)]
+            for rows in (drawn, drawn[:-1] + drawn[:1], rank_one):
+                m = DenseMatrix([[field.from_int(v) for v in row] for row in rows], field)
+                assert rank(m) == echelon_mod_p(rows, p)[0], (n, cols)
 
 
 def test_minor_det_examples():

@@ -11,9 +11,10 @@ and H_ROUTE's terms are compared one by one too.
 
 The law holds at every n and in every regime, and the two sides run
 different code: over Q per-point denominators, Bareiss and (from
-kernel.MULTIMODULAR_MIN_SIZE on) CRT over Z; over F_q elimination mod q,
-packed from kernel.PACK_MIN rows on, with q of 62 bits or small enough that
-reduced points collide. Each instance runs the engines of det.engines and
+kernel.MULTIMODULAR_MIN_SIZE on) CRT over Z; over F_q the packed builders
+from kernel.PACK_MIN rows on and the packed elimination mod q past
+kernel.BAREISS_MAX_N rows, with q of 62 bits or small enough that reduced
+points collide. Each instance runs the engines of det.engines and
 the oracle, as verify does.
 """
 
